@@ -5,22 +5,14 @@ a 66-class atlas, with an exact simplicial-homology oracle to verify
 every number independently.
 """
 
-from .atlas import AtlasEntry, CanonicalForm, atlas_entries, atlas_records, canonicalize, lookup_multigraded
-from .engine import (
-    BettiTable,
-    betti2_formula,
-    betti3_euler,
-    betti3_formula,
-    betti4,
-    dominant_quadruples,
-    full_table,
-    pd_two_condition,
-)
+import importlib
+
 from .errors import (
     Betti4Error,
     ExponentCapExceeded,
     GeneratorCapExceeded,
     IllFormedTwin,
+    InputUnreadable,
     InternalInconsistency,
     NegativeBetti,
     NotInAtlas,
@@ -54,9 +46,38 @@ from .monomials import (
 from .multidegrees import DEFAULT_GEN_CAP, MultidegreeSet, enumerate_multidegrees
 from .parsing import DEFAULT_EXP_CAP, parse_ideal
 from .squarefree import SquarefreeIdeal, mask_monomial, mask_string, parse_mask, shape_descriptor
+from .tables import BettiTable
 from .twins import TwinBundle, build_bundle, restrict, squarefree_twin, twin
 
 __version__ = "0.1.0"
+
+# The atlas and the engine build their tables when imported, so they load
+# on first use: importing the oracle alone must not pull in formula code.
+_LAZY = {
+    "AtlasEntry": "atlas",
+    "CanonicalForm": "atlas",
+    "atlas_entries": "atlas",
+    "atlas_records": "atlas",
+    "canonicalize": "atlas",
+    "lookup_multigraded": "atlas",
+    "betti2_formula": "engine",
+    "betti3_euler": "engine",
+    "betti3_formula": "engine",
+    "betti4": "engine",
+    "dominant_quadruples": "engine",
+    "full_table": "engine",
+    "pd_two_condition": "engine",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ALL_FIELDS",
@@ -70,6 +91,7 @@ __all__ = [
     "FieldSpec",
     "GeneratorCapExceeded",
     "IllFormedTwin",
+    "InputUnreadable",
     "InternalInconsistency",
     "MonomialIdeal",
     "MultidegreeSet",

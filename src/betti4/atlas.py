@@ -121,6 +121,7 @@ def _least_form(gens):
 def _load():
     entries = {}
     index = {}
+    labeled = {}
     for cid, gen_strings, y_string, b2, b3 in _TABLE:
         gens = tuple(sorted(parse_mask(s) for s in gen_strings))
         entry = AtlasEntry(cid, gens, parse_mask(y_string), b2, b3)
@@ -133,8 +134,10 @@ def _load():
         assert support == entry.y_m, f"entry {cid}: degree is not lcm of generators"
         assert cid not in entries
         entries[cid] = entry
-        form, _ = _least_form(gens)
-        prior = index.setdefault(form, cid)
+        forms = {tuple(sorted(permute_mask(g, perm) for g in gens)) for perm in _PERMS}
+        for form in forms:
+            labeled.setdefault(form, cid)
+        prior = index.setdefault(min(forms), cid)
         if prior != cid:
             # relabeling-equivalent entries must carry identical rows for
             # smallest-id lookup to be sound
@@ -142,10 +145,12 @@ def _load():
             assert (other.beta2, other.beta3) == (b2, b3), f"entries {prior} and {cid} disagree"
     assert len(entries) == 66
     assert len({e.gens for e in entries.values()}) == 66, "labeled generator sets must be distinct"
-    return entries, index
+    return entries, index, labeled
 
 
-ENTRIES, _CANONICAL_INDEX = _load()
+# LABELED_CLASSES maps every relabeling of every entry, as a sorted mask
+# tuple, to the smallest class id of its orbit, the id canonicalize reports.
+ENTRIES, _CANONICAL_INDEX, LABELED_CLASSES = _load()
 
 
 def atlas_entries():

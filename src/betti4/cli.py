@@ -11,14 +11,12 @@ input.
 import argparse
 import csv
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .atlas import atlas_entries, atlas_records
 from .engine import full_table, pd_two_condition
-from .errors import Betti4Error, ParseError
+from .errors import Betti4Error, InputUnreadable, ParseError
 from .homology import ALL_FIELDS, oracle_betti
 from .monomials import NUM_VARS, MonomialIdeal, minimalize
 from .multidegrees import DEFAULT_GEN_CAP
@@ -46,49 +44,32 @@ def format_ideal(ideal):
     return ", ".join(format_monomial(g) for g in ideal.gens)
 
 
-def _default_jobs():
-    raw = os.environ.get("BETTI4_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _read_inputs(args):
-    """Yield (line_number, text) for every non-blank, non-comment input line."""
+    """(line_number, text) for every non-blank, non-comment input line."""
     if args.ideals:
         lines = args.ideals
-    elif args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
     else:
-        lines = sys.stdin.read().splitlines()
-    for number, line in enumerate(lines, start=1):
-        bare = line.split("#", 1)[0].strip()
-        if bare:
-            yield number, line
+        try:
+            if args.file:
+                with open(args.file, encoding="utf-8") as fh:
+                    text = fh.read()
+            else:
+                text = sys.stdin.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputUnreadable(f"cannot read {args.file or 'standard input'}: {exc}") from exc
+        lines = text.splitlines()
+    return [(number, line) for number, line in enumerate(lines, start=1)
+            if line.split("#", 1)[0].strip()]
 
 
-def _common_flags(parser, caps=True):
-    if caps:
-        parser.add_argument(
-            "--max-gens", type=int, default=DEFAULT_GEN_CAP, metavar="N",
-            help=f"generator cap (default {DEFAULT_GEN_CAP})",
-        )
-        parser.add_argument(
-            "--max-exp", type=int, default=DEFAULT_EXP_CAP, metavar="N",
-            help=f"exponent cap (default {DEFAULT_EXP_CAP})",
-        )
+def _cap_flags(parser):
     parser.add_argument(
-        "--jobs", type=int, default=_default_jobs(), metavar="N",
-        help="parallel workers (default $BETTI4_JOBS or 1)",
+        "--max-gens", type=int, default=DEFAULT_GEN_CAP, metavar="N",
+        help=f"generator cap (default {DEFAULT_GEN_CAP})",
+    )
+    parser.add_argument(
+        "--max-exp", type=int, default=DEFAULT_EXP_CAP, metavar="N",
+        help=f"exponent cap (default {DEFAULT_EXP_CAP})",
     )
 
 
@@ -102,28 +83,21 @@ def _multigraded_json(rows):
 
 
 def cmd_betti(args):
-    def compute(job):
-        number, line = job
+    failed = False
+    for number, line in _read_inputs(args):
         try:
             ideal = parse_ideal(line, args.max_exp)
             table = full_table(ideal, want_multigraded=args.multigraded, cap=args.max_gens)
         except Betti4Error as exc:
-            return number, line, exc
-        return number, ideal, table
-
-    failed = False
-    for number, source, result in _map_ordered(compute, list(_read_inputs(args)), args.jobs):
-        if isinstance(result, Betti4Error):
             failed = True
             if args.json:
-                record = {"schema": SCHEMA_VERSION, "line": number, "error": str(result)}
-                if isinstance(result, ParseError):
-                    record["position"] = result.position
+                record = {"schema": SCHEMA_VERSION, "line": number, "error": str(exc)}
+                if isinstance(exc, ParseError):
+                    record["position"] = exc.position
                 print(json.dumps(record))
             else:
-                print(f"error (line {number}): {result}", file=sys.stderr)
+                print(f"error (line {number}): {exc}", file=sys.stderr)
             continue
-        ideal, table = source, result
         pd2 = pd_two_condition(ideal)
         if args.json:
             record = {
@@ -147,8 +121,9 @@ def cmd_betti(args):
 
 
 def cmd_verify(args):
-    def compute(job):
-        number, line = job
+    failed = False
+    bad_input = False
+    for number, line in _read_inputs(args):
         try:
             ideal = parse_ideal(line, args.max_exp)
             formula = full_table(ideal, want_multigraded=True, cap=args.max_gens)
@@ -157,17 +132,9 @@ def cmd_verify(args):
                 for field in ALL_FIELDS
             ]
         except Betti4Error as exc:
-            return number, line, exc
-        return number, ideal, (formula, oracles)
-
-    failed = False
-    bad_input = False
-    for number, source, result in _map_ordered(compute, list(_read_inputs(args)), args.jobs):
-        if isinstance(result, Betti4Error):
             bad_input = True
-            print(f"error (line {number}): {result}", file=sys.stderr)
+            print(f"error (line {number}): {exc}", file=sys.stderr)
             continue
-        ideal, (formula, oracles) = source, result
         verdicts = []
         for field, oracle in oracles:
             agree = formula.betti == oracle.betti and formula.multigraded == oracle.multigraded
@@ -241,7 +208,7 @@ def sample_ideal(rng, max_gens, max_exp):
 def cmd_experiment(args):
     rng = random.Random(args.seed)
     ideals = [sample_ideal(rng, args.max_gens, args.max_exp) for _ in range(args.samples)]
-    tables = _map_ordered(lambda ideal: full_table(ideal, cap=args.max_gens), ideals, args.jobs)
+    tables = [full_table(ideal, cap=args.max_gens) for ideal in ideals]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["seed_index", "num_gens", "beta2", "beta3", "beta4", "pd", "beta3_gt_beta2"])
     wins = 0
@@ -272,12 +239,12 @@ def build_parser():
     style.add_argument("--json", action="store_true", help="JSON Lines output")
     style.add_argument("--table", action="store_true", help="aligned text output (default)")
     p.add_argument("--multigraded", action="store_true", help="include per-degree rows")
-    _common_flags(p)
+    _cap_flags(p)
     p.set_defaults(run=cmd_betti)
 
     p = sub.add_parser("verify", help="check formulas against the homology oracle")
     _input_flags(p)
-    _common_flags(p)
+    _cap_flags(p)
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("atlas", help="dump or re-check the squarefree class table")
@@ -296,14 +263,17 @@ def build_parser():
         "--max-exp", type=int, default=4, metavar="N",
         help="exponent upper bound for the random model (default 4)",
     )
-    _common_flags(p, caps=False)
     p.set_defaults(run=cmd_experiment)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except InputUnreadable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

@@ -1,57 +1,23 @@
 """Total and multigraded Betti numbers from the closed formulas.
 
-beta2 and beta3 come from weighted counts of multidegrees classified by
-the shape of their squarefree reduction; beta4 from dominant quadruples
-of generators; beta3 is additionally recomputed from the Euler
-characteristic and the two values are cross-asserted at runtime.
+beta2 and beta3 come from a key table: the row at a multidegree m
+depends only on the upward closure of its twin masks and on the support
+of m, and the 168 possible closures are tabulated at import from the
+shape weights, each checked against its atlas class.  beta4 comes from
+dominant quadruples of generators; beta3 is additionally recomputed
+from the Euler characteristic and the two values are cross-checked at
+runtime.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .atlas import lookup_multigraded
+from .atlas import ENTRIES, LABELED_CLASSES
 from .errors import InternalInconsistency, NegativeBetti
 from .monomials import UNIT, divides, dominant_members, lcm, lcm_all, strongly_divides
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
-from .squarefree import shape_descriptor
-from .twins import build_bundle
-
-
-@dataclass(frozen=True)
-class BettiTable:
-    """Betti numbers of S/M in homological degrees 0..4.
-
-    The optional multigraded map sends a multidegree to its 5-tuple of
-    graded Betti numbers; its columns must sum to the totals.
-    """
-
-    betti: tuple
-    pd: int
-    multigraded: dict | None = None
-
-    def __post_init__(self):
-        assert len(self.betti) == 5 and min(self.betti) >= 0
-        assert self.pd == max((i for i, b in enumerate(self.betti) if b), default=0)
-        if self.multigraded is not None:
-            sums = [0] * 5
-            for row in self.multigraded.values():
-                for i, b in enumerate(row):
-                    sums[i] += b
-            assert tuple(sums) == self.betti, "multigraded map must sum to the totals"
-
-    @property
-    def euler(self):
-        """Alternating sum beta0 - beta1 + beta2 - beta3 + beta4."""
-        b = self.betti
-        return b[0] - b[1] + b[2] - b[3] + b[4]
-
-    @property
-    def total(self):
-        return sum(self.betti)
-
-
-def _pd(betti):
-    return max((i for i, b in enumerate(betti) if b), default=0)
+from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
+from .tables import BettiTable, projective_dimension
 
 
 @dataclass(frozen=True)
@@ -121,14 +87,80 @@ def _shape_weights(sq):
     return b2, b3
 
 
+# UP[mask] is the 16-bit set of masks that contain mask: bit s is set iff
+# s & mask == mask.  OR-ing UP over a family of masks gives its upward
+# closure, which is the same for a family and for its minimal members.
+UP = tuple(sum(1 << s for s in range(16) if s & mask == mask) for mask in range(16))
+
+
+def upward_closure(masks):
+    """16-bit set of every mask containing one of the given masks."""
+    up = 0
+    for mask in masks:
+        up |= UP[mask]
+    return up
+
+
+def _build_key_table(classes, entries):
+    """Map each upward-closed family of masks to (support, beta2, beta3).
+
+    classes maps labeled squarefree antichains (sorted mask tuples) to
+    atlas class ids and entries maps ids to atlas entries.  Each row is
+    taken from the shape weights and must equal the row of the atlas
+    class; the empty family (no generator divides m) has the zero row.
+    """
+    table = {0: (0, 0, 0)}
+    for gens, class_id in classes.items():
+        sq = SquarefreeIdeal(gens)
+        weights = _shape_weights(sq)
+        entry = entries[class_id]
+        if weights != (entry.beta2, entry.beta3):
+            raise InternalInconsistency(
+                f"shape weights give {weights} but atlas class {class_id} gives "
+                f"({entry.beta2}, {entry.beta3}) for {[mask_string(g) for g in gens]}"
+            )
+        table[upward_closure(gens)] = (sq.support, *weights)
+    if len(table) != 168:
+        raise InternalInconsistency(f"{len(table)} upward-closed families tabulated, expected 168")
+    return table
+
+
+KEY_TABLE = _build_key_table(LABELED_CLASSES, ENTRIES)
+
+
+def lattice_keys(gens, degrees):
+    """(m, up, y_m) for every multidegree m in degrees.
+
+    up is the upward closure of the twin masks of the generators that
+    divide m: the twin mask of g has bit j set iff g_j == m_j > 0.
+    y_m is the support of m.
+    """
+    for m in degrees:
+        m0, m1, m2, m3 = m
+        up = 0
+        for g0, g1, g2, g3 in gens:
+            if g0 <= m0 and g1 <= m1 and g2 <= m2 and g3 <= m3:
+                up |= UP[(g0 == m0 > 0) | (g1 == m1 > 0) << 1 | (g2 == m2 > 0) << 2
+                         | (g3 == m3 > 0) << 3]
+        yield m, up, (m0 > 0) | (m1 > 0) << 1 | (m2 > 0) << 2 | (m3 > 0) << 3
+
+
+def key_rows(gens, degrees):
+    """(m, beta2, beta3) for every multidegree in degrees with a nonzero row.
+
+    The row is the key table's when the twin support fills y_m and zero
+    otherwise.
+    """
+    for m, up, y_m in lattice_keys(gens, degrees):
+        support, b2, b3 = KEY_TABLE[up]
+        if support == y_m and (b2 or b3):
+            yield m, b2, b3
+
+
 def _formula_counts(ideal, cap):
-    """Weighted multidegree counts giving (beta2, beta3)."""
+    """Summed key-table rows giving (beta2, beta3)."""
     b2 = b3 = 0
-    for m in enumerate_multidegrees(ideal, cap):
-        bundle = build_bundle(ideal, m)
-        if bundle.squarefree.support != bundle.y_m:
-            continue
-        w2, w3 = _shape_weights(bundle.squarefree)
+    for _, w2, w3 in key_rows(ideal.gens, enumerate_multidegrees(ideal, cap)):
         b2 += w2
         b3 += w3
     return b2, b3
@@ -158,10 +190,10 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     """Assemble beta0..beta4, computing beta3 two redundant ways.
 
     The conventional tables for the zero ideal and the unit ideal are
-    (1,0,0,0,0) and (1,1,0,0,0).  The optional multigraded map draws
-    its beta2/beta3 entries from the atlas lookup, an independent route
-    from the shape formula, and the summation check in BettiTable ties
-    the two together on every call.
+    (1,0,0,0,0) and (1,1,0,0,0).  beta2 and beta3 are sums of key-table
+    rows; beta3 is checked against the Euler relation with beta4 from
+    the dominant quadruples.  The optional multigraded map holds the
+    nonzero rows by multidegree.
     """
     if ideal.is_zero:
         table = (1, 0, 0, 0, 0)
@@ -172,16 +204,11 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
 
     b2 = b3_direct = 0
     rows = {} if want_multigraded else None
-    for m in enumerate_multidegrees(ideal, cap):
-        bundle = build_bundle(ideal, m)
-        if bundle.squarefree.support == bundle.y_m:
-            w2, w3 = _shape_weights(bundle.squarefree)
-            b2 += w2
-            b3_direct += w3
+    for m, w2, w3 in key_rows(ideal.gens, enumerate_multidegrees(ideal, cap)):
+        b2 += w2
+        b3_direct += w3
         if rows is not None:
-            a2, a3 = lookup_multigraded(bundle.squarefree, bundle.y_m)
-            if a2 or a3:
-                rows[m] = [0, 0, a2, a3, 0]
+            rows[m] = [0, 0, w2, w3, 0]
 
     quadruples = dominant_quadruples(ideal)
     b4 = len(quadruples.lcms)
@@ -201,7 +228,7 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
         for degree in quadruples.lcms:
             rows.setdefault(degree, [0] * 5)[4] = 1
         rows = {m: tuple(row) for m, row in sorted(rows.items())}
-    return BettiTable(betti, _pd(betti), rows)
+    return BettiTable(betti, projective_dimension(betti), rows)
 
 
 def pd_two_condition(ideal):

@@ -37,6 +37,10 @@ class InternalInconsistency(Betti4Error):
     """Two redundant computation paths disagree."""
 
 
+class InputUnreadable(Betti4Error):
+    """An input file or stream could not be opened, read or decoded."""
+
+
 class ParseError(Betti4Error):
     """Bad ideal text; carries the offset of the offending character."""
 

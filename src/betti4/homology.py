@@ -11,10 +11,10 @@ usable as an oracle for all of them.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .engine import BettiTable, _pd
 from .errors import GeneratorCapExceeded
 from .monomials import UNIT, divides
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
+from .tables import BettiTable, projective_dimension
 
 SUPPORTED_CHARACTERISTICS = (0, 2, 3, 5)
 
@@ -184,4 +184,4 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
         if rows is not None and any(row):
             rows[b] = row
     betti = tuple(totals)
-    return BettiTable(betti, _pd(betti), rows)
+    return BettiTable(betti, projective_dimension(betti), rows)

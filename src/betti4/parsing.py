@@ -14,11 +14,20 @@ DEFAULT_EXP_CAP = 64
 
 _ALIASES = {"a": 1, "b": 2, "c": 3, "d": 4}
 
+# str.isdigit also accepts other scripts' digits and superscripts, which
+# int() then reads as numbers or rejects with ValueError.
+_DIGITS = frozenset("0123456789")
+
+
+def _excerpt(digits, keep=12):
+    return digits if len(digits) <= keep else digits[:keep] + "..."
+
 
 def _parse_monomial(chunk, base, max_exp):
     """One generator.  base is the chunk's offset inside the full input,
     so every error position refers to the original text."""
     exps = [0] * NUM_VARS
+    cap_digits = len(str(max_exp))
     i = 0
     n = len(chunk)
 
@@ -27,13 +36,13 @@ def _parse_monomial(chunk, base, max_exp):
             i += 1
         return i
 
-    def read_int(i):
+    def read_digits(i):
         start = i
-        while i < n and chunk[i].isdigit():
+        while i < n and chunk[i] in _DIGITS:
             i += 1
         if i == start:
             raise ParseError("expected a number", base + start)
-        return int(chunk[start:i]), i
+        return chunk[start:i], i
 
     expect_factor = True
     saw_factor = False
@@ -48,19 +57,19 @@ def _parse_monomial(chunk, base, max_exp):
             i += 1
             expect_factor = True
             continue
-        if ch == "1" and (i + 1 >= n or not chunk[i + 1].isdigit()):
+        if ch == "1" and (i + 1 >= n or chunk[i + 1] not in _DIGITS):
             # the unit monomial as a factor; legal but contributes nothing
             i += 1
             expect_factor = False
             saw_factor = True
             continue
         if ch == "x":
-            value, j = read_int(i + 1)
-            if not 1 <= value <= NUM_VARS or j - i > 2:
+            digits, j = read_digits(i + 1)
+            if len(digits) > 1 or not 1 <= int(digits) <= NUM_VARS:
                 raise VariableOutOfRange(
-                    f"variable x{chunk[i + 1:j]} is outside x1..x{NUM_VARS}", base + i
+                    f"variable x{_excerpt(digits)} is outside x1..x{NUM_VARS}", base + i
                 )
-            var = value
+            var = int(digits)
             i = j
         elif ch in _ALIASES:
             var = _ALIASES[ch]
@@ -72,9 +81,17 @@ def _parse_monomial(chunk, base, max_exp):
         if i < n and chunk[i] == "^":
             at = i
             i = skip_ws(i + 1)
-            exp, i = read_int(i)
-            if exp == 0:
+            digits, i = read_digits(i)
+            digits = digits.lstrip("0")
+            if not digits:
                 raise ParseError("exponent must be positive", base + at + 1)
+            # a longer digit string exceeds the cap; checked before int(),
+            # which refuses strings past the interpreter's digit limit
+            if len(digits) > cap_digits:
+                raise ExponentCapExceeded(
+                    f"exponent {_excerpt(digits)} exceeds the cap of {max_exp}", base + i - 1
+                )
+            exp = int(digits)
         exps[var - 1] += exp
         if exps[var - 1] > max_exp:
             raise ExponentCapExceeded(

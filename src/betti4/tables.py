@@ -1,0 +1,45 @@
+"""The Betti table type shared by the formula engine and the homology oracle.
+
+It lives apart from both routes so that the oracle can build tables
+without importing any formula code.
+"""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class BettiTable:
+    """Betti numbers of S/M in homological degrees 0..4.
+
+    The optional multigraded map sends a multidegree to its 5-tuple of
+    graded Betti numbers; its columns must sum to the totals.
+    """
+
+    betti: tuple
+    pd: int
+    multigraded: dict | None = None
+
+    def __post_init__(self):
+        assert len(self.betti) == 5 and min(self.betti) >= 0
+        assert self.pd == projective_dimension(self.betti)
+        if self.multigraded is not None:
+            sums = [0] * 5
+            for row in self.multigraded.values():
+                for i, b in enumerate(row):
+                    sums[i] += b
+            assert tuple(sums) == self.betti, "multigraded map must sum to the totals"
+
+    @property
+    def euler(self):
+        """Alternating sum beta0 - beta1 + beta2 - beta3 + beta4."""
+        b = self.betti
+        return b[0] - b[1] + b[2] - b[3] + b[4]
+
+    @property
+    def total(self):
+        return sum(self.betti)
+
+
+def projective_dimension(betti):
+    """Largest homological degree with a nonzero Betti number."""
+    return max((i for i, b in enumerate(betti) if b), default=0)

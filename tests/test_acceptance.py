@@ -12,8 +12,17 @@ import time
 from itertools import combinations
 
 from betti4.atlas import atlas_entries, canonicalize
-from betti4.engine import betti3_euler, betti3_formula, betti4, full_table, pd_two_condition
-from betti4.homology import ALL_FIELDS, RATIONALS, oracle_betti
+from betti4.engine import (
+    KEY_TABLE,
+    betti3_euler,
+    betti3_formula,
+    betti4,
+    full_table,
+    key_rows,
+    pd_two_condition,
+    upward_closure,
+)
+from betti4.homology import ALL_FIELDS, RATIONALS, multigraded_oracle, oracle_betti
 from betti4.monomials import (
     MonomialIdeal,
     divides,
@@ -214,4 +223,36 @@ def test_criterion_11_every_squarefree_antichain_has_a_class():
     # so exactly the orbit-minimal ids are reachable
     minima = {canonicalize(SquarefreeIdeal(e.gens)).class_id for e in atlas_entries()}
     assert classes == minima
+    assert time.perf_counter() - start < 10.0
+
+
+def test_criterion_12_every_key_row_matches_the_oracle_in_every_characteristic():
+    # a key is an upward-closed family of squarefree masks plus a degree
+    # y_m containing its support; each family is the closure of exactly
+    # one antichain, the empty one included
+    start = time.perf_counter()
+    strict_supersets = [sum(1 << s for s in range(16) if s & g == g and s != g) for g in range(16)]
+    antichains = [
+        tuple(g for g in range(16) if bits >> g & 1)
+        for bits in range(1 << 16)
+        if not any(bits >> g & 1 and bits & strict_supersets[g] for g in range(16))
+    ]
+    assert len(antichains) == 168
+    assert {upward_closure(gens) for gens in antichains} == set(KEY_TABLE)
+    keys = 0
+    for gens in antichains:
+        ideal = MonomialIdeal(tuple(sorted(mask_monomial(g) for g in gens)))
+        support = 0
+        for g in gens:
+            support |= g
+        for y_m in range(16):
+            if y_m & support != support:
+                continue
+            b = mask_monomial(y_m)
+            rows = list(key_rows(ideal.gens, [b]))
+            row = rows[0][1:] if rows else (0, 0)
+            for field in ALL_FIELDS:
+                assert row == multigraded_oracle(ideal, b, field)[2:4], (gens, y_m, field)
+            keys += 1
+    assert keys == 298
     assert time.perf_counter() - start < 10.0

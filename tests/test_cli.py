@@ -145,8 +145,7 @@ def test_experiment_csv_shape(capsys):
 def test_experiment_deterministic_and_order_independent(capsys):
     _, first, _ = run(capsys, "experiment", "--samples", "20", "--seed", "3")
     _, second, _ = run(capsys, "experiment", "--samples", "20", "--seed", "3")
-    _, threaded, _ = run(capsys, "experiment", "--samples", "20", "--seed", "3", "--jobs", "4")
-    assert first == second == threaded
+    assert first == second
 
 
 def test_experiment_zero_samples(capsys):
@@ -155,17 +154,6 @@ def test_experiment_zero_samples(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("seed_index")
     assert all(line.startswith("#") for line in lines[1:])
-
-
-def test_jobs_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("BETTI4_JOBS", "3")
-    args = build_parser().parse_args(["betti", "x1"])
-    assert args.jobs == 3
-    args = build_parser().parse_args(["betti", "--jobs", "2", "x1"])
-    assert args.jobs == 2
-    monkeypatch.setenv("BETTI4_JOBS", "junk")
-    args = build_parser().parse_args(["betti", "x1"])
-    assert args.jobs == 1
 
 
 def test_sample_ideal_model():
@@ -177,8 +165,36 @@ def test_sample_ideal_model():
         assert all(any(g) and max(g) <= 3 for g in ideal.gens)
 
 
-def test_betti_jobs_output_is_stable(capsys):
-    lines = ["x1, x2", "x3, x4", "x1*x2, x3*x4", "x1^2, x2^2, x3^2"]
-    _, sequential, _ = run(capsys, "betti", "--json", *lines)
-    _, threaded, _ = run(capsys, "betti", "--json", "--jobs", "4", *lines)
-    assert sequential == threaded
+@pytest.mark.parametrize("command", ["betti", "verify"])
+@pytest.mark.parametrize("text", ["x1^\u00b2", "x1^" + "9" * 5000, "x\u0661", "x1^\u0663", "x" + "1" * 5000])
+def test_bad_digits_exit_2_without_a_traceback(capsys, command, text):
+    code, out, err = run(capsys, command, text, "x2")
+    assert code == 2
+    assert "error (line 1)" in err and "Traceback" not in err
+    assert len(err) < 300
+    assert "line 2" in out or "b1=1" in out
+
+
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_missing_file_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "absent.txt"
+    code, out, err = run(capsys, command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read") and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_undecodable_file_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("x1*x2, x3\n# caf\u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert "cannot read" in err and "utf-8" in err
+
+
+def test_undecodable_stdin_exits_2(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"x1, x2\n\xff\n"), encoding="utf-8"))
+    code, out, err = run(capsys, "betti")
+    assert code == 2 and out == ""
+    assert "cannot read standard input" in err

@@ -1,22 +1,32 @@
 """Formula pipeline: closed-form Betti numbers against fixtures and the oracle."""
 
+import dataclasses
+import random
+
 import pytest
 from conftest import ideal_of, ideals, permutations_of_4
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from betti4.atlas import ENTRIES, LABELED_CLASSES
+from betti4.cli import sample_ideal
 from betti4.engine import (
     BettiTable,
+    _build_key_table,
     betti2_formula,
     betti3_euler,
     betti3_formula,
     betti4,
     dominant_quadruples,
     full_table,
+    lattice_keys,
     pd_two_condition,
+    upward_closure,
 )
-from betti4.errors import GeneratorCapExceeded
+from betti4.errors import GeneratorCapExceeded, InternalInconsistency
 from betti4.homology import oracle_betti
 from betti4.monomials import UNIT, MonomialIdeal, is_dominant, permute_ideal, permute_monomial
+from betti4.multidegrees import enumerate_multidegrees
+from betti4.twins import build_bundle
 
 COMPUTATIONS = ideal_of((2, 2, 0, 0), (2, 1, 1, 0), (0, 1, 1, 2), (0, 0, 2, 2))
 SECTION7 = ideal_of((2, 2, 1, 0), (2, 2, 0, 1), (1, 0, 2, 2), (0, 1, 2, 2), (1, 1, 1, 1))
@@ -149,3 +159,39 @@ def test_full_table_is_permutation_invariant(ideal, perm):
 @given(ideals())
 def test_betti3_routes_agree(ideal):
     assert betti3_formula(ideal) == betti3_euler(ideal)
+
+
+def _staircase(q, seed):
+    """q distinct monomials of total degree q // 4 + 1: an antichain."""
+    d = q // 4 + 1
+    pool = [(a, b, c, d - a - b - c)
+            for a in range(d + 1) for b in range(d + 1 - a) for c in range(d + 1 - a - b)]
+    return MonomialIdeal(tuple(sorted(random.Random(seed).sample(pool, q))))
+
+
+@given(st.one_of(
+    st.integers(0, 2**32).map(lambda seed: sample_ideal(random.Random(seed), 8, 4)),
+    st.builds(_staircase, st.integers(1, 28), st.integers(0, 2**32)),
+))
+def test_lattice_keys_match_the_reduction_pipeline(ideal):
+    degrees = enumerate_multidegrees(ideal, 40)
+    keys = list(lattice_keys(ideal.gens, degrees))
+    assert [m for m, _, _ in keys] == list(degrees)
+    for m, up, y_m in keys:
+        bundle = build_bundle(ideal, m)
+        assert up == upward_closure(bundle.squarefree.gens)
+        assert y_m == bundle.y_m
+
+
+def test_key_table_is_checked_against_the_atlas():
+    table = _build_key_table(LABELED_CLASSES, ENTRIES)
+    assert len(table) == 168
+    entry = ENTRIES[65]
+    corrupted = dict(ENTRIES)
+    corrupted[65] = dataclasses.replace(entry, beta3=entry.beta3 + 1)
+    with pytest.raises(InternalInconsistency, match="atlas class 65"):
+        _build_key_table(LABELED_CLASSES, corrupted)
+    incomplete = dict(LABELED_CLASSES)
+    del incomplete[(0b0011, 0b0100)]
+    with pytest.raises(InternalInconsistency, match="167 upward-closed families"):
+        _build_key_table(incomplete, ENTRIES)

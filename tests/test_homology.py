@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from conftest import ideal_of, ideals
 from hypothesis import given, strategies as st
@@ -109,3 +113,16 @@ def test_oracle_vanishes_off_the_multidegree_set(ideal, b):
 def test_rationals_is_characteristic_zero():
     assert RATIONALS.characteristic == 0
     assert tuple(f.characteristic for f in ALL_FIELDS) == (0, 2, 3, 5)
+
+
+def test_oracle_imports_no_formula_code():
+    # a fresh interpreter, so modules other tests imported do not count
+    probe = (
+        "import sys, betti4.homology\n"
+        "print(sorted(m for m in sys.modules if m in ('betti4.engine', 'betti4.atlas')))"
+    )
+    src = os.path.dirname(os.path.dirname(sys.modules["betti4"].__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from betti4.errors import ExponentCapExceeded, ParseError, VariableOutOfRange
 from betti4.parsing import parse_ideal
@@ -69,12 +70,41 @@ def test_exponent_rules():
     # accumulation across repeated factors is capped too
     with pytest.raises(ExponentCapExceeded):
         parse_ideal("x1^5*x1^4", max_exp=8)
+    # leading zeros do not count towards an exponent's length
+    assert parse_ideal("x1^" + "0" * 40 + "7").gens == ((7, 0, 0, 0),)
+    # too many digits for int() to read: rejected by length first
+    with pytest.raises(ExponentCapExceeded) as info:
+        parse_ideal("x1^" + "9" * 5000)
+    assert len(str(info.value)) < 100
+    with pytest.raises(VariableOutOfRange):
+        parse_ideal("x" + "1" * 5000)
 
 
 def test_malformed_inputs():
     for text in ("x1 x2", "x1*", "*x1", "x1,,x2", "x^2", "y1", "x1^-2", "x1^"):
         with pytest.raises(ParseError):
             parse_ideal(text)
+
+
+def test_only_ascii_digits_are_numbers():
+    # superscripts and other scripts' digits pass str.isdigit
+    for text in ("x1^\u00b2", "x\u0661", "x1^\u0663", "x\uff11", "1\u0663", "x1^3\u0663"):
+        with pytest.raises(ParseError):
+            parse_ideal(text)
+
+
+# pieces of the grammar, look-alike digits, and a number past the
+# interpreter's int() digit limit
+_TOKENS = ["x1", "x4", "x", "a", "d", "1", "0", "7", "^", "*", ",", " ", "#", "\n",
+           "\u00b2", "\u0661", "\u0663", "\u2028", "9" * 4400]
+
+
+@given(st.text() | st.lists(st.sampled_from(_TOKENS)).map("".join))
+def test_parse_ideal_raises_only_parse_errors(text):
+    try:
+        parse_ideal(text)
+    except ParseError:
+        pass
 
 
 def test_parse_error_carries_position():
