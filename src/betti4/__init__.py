@@ -14,6 +14,7 @@ from .errors import (
     IllFormedTwin,
     InputUnreadable,
     InternalInconsistency,
+    InvariantViolation,
     NegativeBetti,
     NotInAtlas,
     ParseError,
@@ -93,6 +94,7 @@ __all__ = [
     "IllFormedTwin",
     "InputUnreadable",
     "InternalInconsistency",
+    "InvariantViolation",
     "MonomialIdeal",
     "MultidegreeSet",
     "NUM_VARS",

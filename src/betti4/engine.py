@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .atlas import ENTRIES, LABELED_CLASSES
-from .errors import InternalInconsistency, NegativeBetti
-from .monomials import UNIT, divides, dominant_members, lcm, lcm_all, strongly_divides
+from .errors import InternalInconsistency, InvariantViolation, NegativeBetti
+from .monomials import UNIT, divides, lcm
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
 from .tables import BettiTable, projective_dimension
@@ -24,27 +24,57 @@ from .tables import BettiTable, projective_dimension
 class DominantQuadrupleClass:
     """4-element dominant subsets whose lcm no generator strongly divides."""
 
-    quadruples: tuple
+    quadruples: tuple  # each one lex-sorted, all in lex order
     lcms: tuple  # distinct, lex-sorted
 
     def __post_init__(self):
         for quad in self.quadruples:
-            assert len(quad) == 4
+            if len(quad) != 4:
+                raise InvariantViolation(f"a dominant quadruple has {len(quad)} members: {quad}")
 
 
 def dominant_quadruples(ideal):
-    """Collect the quadruples behind the fourth Betti number."""
+    """Collect the quadruples behind the fourth Betti number.
+
+    In a dominant quadruple every member is the unique column maximum of
+    one variable, so the quadruple has exactly one assignment a -> x1,
+    b -> x2, c -> x3, d -> x4 and its lcm is m = (a0, b1, c2, d3).  The
+    loops build only such assignments: each later member lies below the
+    earlier ones in their variables and above them in its own.  Every
+    exponent of m is positive, so g strongly divides m iff g < m in all
+    four variables; those g are the members of the list d is drawn from
+    whose x4 exponent is below d3.  So m survives iff d3 is the least x4
+    exponent on that list, and every d attaining it shares the same m.
+    """
     gens = ideal.gens
     quads = []
     lcms = set()
-    for quad in combinations(gens, 4):
-        if len(dominant_members(quad)) != 4:
-            continue
-        degree = lcm_all(quad)
-        if any(strongly_divides(g, degree) for g in gens):
-            continue
-        quads.append(quad)
-        lcms.add(degree)
+    for a in gens:
+        a0, a1, a2, a3 = a
+        below_a = [g for g in gens if g[0] < a0]
+        for b in below_a:
+            b1 = b[1]
+            if b1 <= a1:
+                continue
+            # c and d need not exceed a in x2, so filter below_a, not b's candidates
+            below_ab = [g for g in below_a if g[1] < b1]
+            c_floor = max(a2, b[2])
+            d_floor = max(a3, b[3])
+            for c in below_ab:
+                c2 = c[2]
+                if c2 <= c_floor:
+                    continue
+                below_abc = [g for g in below_ab if g[2] < c2]
+                if not below_abc:
+                    continue
+                d3 = min(g[3] for g in below_abc)
+                if d3 <= d_floor or d3 <= c[3]:
+                    continue
+                lcms.add((a0, b1, c2, d3))
+                for d in below_abc:
+                    if d[3] == d3:
+                        quads.append(tuple(sorted((a, b, c, d))))
+    quads.sort()
     return DominantQuadrupleClass(tuple(quads), tuple(sorted(lcms)))
 
 

@@ -37,6 +37,14 @@ class InternalInconsistency(Betti4Error):
     """Two redundant computation paths disagree."""
 
 
+class InvariantViolation(Betti4Error):
+    """A value object was built from data that breaks its invariant.
+
+    Raised by the constructors of ideals, complexes and Betti tables, so
+    the check also holds when Python runs with -O.
+    """
+
+
 class InputUnreadable(Betti4Error):
     """An input file or stream could not be opened, read or decoded."""
 

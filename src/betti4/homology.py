@@ -11,7 +11,7 @@ usable as an oracle for all of them.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import GeneratorCapExceeded
+from .errors import GeneratorCapExceeded, InvariantViolation
 from .monomials import UNIT, divides
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .tables import BettiTable, projective_dimension
@@ -51,10 +51,10 @@ class SimplicialComplex:
 
     def __post_init__(self):
         for f in self.faces:
-            assert 0 <= f < 16
-            assert all(f & ~(1 << i) in self.faces for i in range(4) if f >> i & 1), (
-                "face set must be downward closed"
-            )
+            if not 0 <= f < 16:
+                raise InvariantViolation(f"bad face {f!r}")
+            if not all(f & ~(1 << i) in self.faces for i in range(4) if f >> i & 1):
+                raise InvariantViolation("face set must be downward closed")
 
     @property
     def face_bits(self):

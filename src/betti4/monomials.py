@@ -7,6 +7,8 @@ Plain tuples keep the subset walks in the rest of the package cheap.
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import InvariantViolation
+
 NUM_VARS = 4
 
 # the constant monomial x^0
@@ -66,11 +68,14 @@ class MonomialIdeal:
     gens: tuple
 
     def __post_init__(self):
-        assert list(self.gens) == sorted(set(self.gens)), "generators must be lex-sorted and distinct"
+        if list(self.gens) != sorted(set(self.gens)):
+            raise InvariantViolation("generators must be lex-sorted and distinct")
         for g in self.gens:
-            assert len(g) == NUM_VARS and min(g) >= 0, f"bad monomial {g!r}"
+            if len(g) != NUM_VARS or min(g) < 0:
+                raise InvariantViolation(f"bad monomial {g!r}")
         for a, b in combinations(self.gens, 2):
-            assert not divides(a, b) and not divides(b, a), "generating set must be minimal"
+            if divides(a, b) or divides(b, a):
+                raise InvariantViolation("generating set must be minimal")
 
     @property
     def is_zero(self):

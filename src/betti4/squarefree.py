@@ -8,6 +8,8 @@ package render masks with y1 leftmost.
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import InvariantViolation
+
 
 @dataclass(frozen=True)
 class SquarefreeIdeal:
@@ -16,10 +18,13 @@ class SquarefreeIdeal:
     gens: tuple
 
     def __post_init__(self):
-        assert list(self.gens) == sorted(set(self.gens))
+        if list(self.gens) != sorted(set(self.gens)):
+            raise InvariantViolation("masks must be ascending and distinct")
         for m in self.gens:
-            assert 0 <= m < 16, f"bad mask {m!r}"
-            assert not any(o != m and o & m == o for o in self.gens), "generating set must be minimal"
+            if not 0 <= m < 16:
+                raise InvariantViolation(f"bad mask {m!r}")
+            if any(o != m and o & m == o for o in self.gens):
+                raise InvariantViolation("generating set must be minimal")
 
     @property
     def support(self):

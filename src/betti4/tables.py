@@ -6,6 +6,8 @@ without importing any formula code.
 
 from dataclasses import dataclass
 
+from .errors import InvariantViolation
+
 
 @dataclass(frozen=True)
 class BettiTable:
@@ -20,14 +22,17 @@ class BettiTable:
     multigraded: dict | None = None
 
     def __post_init__(self):
-        assert len(self.betti) == 5 and min(self.betti) >= 0
-        assert self.pd == projective_dimension(self.betti)
+        if len(self.betti) != 5 or min(self.betti) < 0:
+            raise InvariantViolation(f"bad Betti numbers {self.betti!r}")
+        if self.pd != projective_dimension(self.betti):
+            raise InvariantViolation(f"pd {self.pd} does not match {self.betti!r}")
         if self.multigraded is not None:
             sums = [0] * 5
             for row in self.multigraded.values():
                 for i, b in enumerate(row):
                     sums[i] += b
-            assert tuple(sums) == self.betti, "multigraded map must sum to the totals"
+            if tuple(sums) != self.betti:
+                raise InvariantViolation("multigraded map must sum to the totals")
 
     @property
     def euler(self):

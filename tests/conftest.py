@@ -1,5 +1,7 @@
 """Shared strategies and helpers for the suite."""
 
+import random
+
 import hypothesis.strategies as st
 from hypothesis import settings
 
@@ -11,6 +13,14 @@ settings.load_profile("suite")
 
 def ideal_of(*gens):
     return MonomialIdeal(minimalize(gens))
+
+
+def staircase(q, seed):
+    """q distinct monomials of total degree q // 4 + 1: an antichain."""
+    d = q // 4 + 1
+    pool = [(a, b, c, d - a - b - c)
+            for a in range(d + 1) for b in range(d + 1 - a) for c in range(d + 1 - a - b)]
+    return MonomialIdeal(tuple(sorted(random.Random(seed).sample(pool, q))))
 
 
 def monomials(max_exp=4):

@@ -11,6 +11,8 @@ import random
 import time
 from itertools import combinations
 
+from conftest import staircase
+
 from betti4.atlas import atlas_entries, canonicalize
 from betti4.engine import (
     KEY_TABLE,
@@ -256,3 +258,14 @@ def test_criterion_12_every_key_row_matches_the_oracle_in_every_characteristic()
             keys += 1
     assert keys == 298
     assert time.perf_counter() - start < 10.0
+
+
+def test_criterion_13_sixty_generator_staircase_matches_the_oracle():
+    # 60 distinct monomials of total degree 16 form an antichain; its lcm
+    # lattice has thousands of points and C(60, 4) = 487,635 generator
+    # quadruples, too many to scan one by one in the time
+    ideal = staircase(60, 13)
+    table, elapsed = best_time(lambda: full_table(ideal, cap=60), repeat=1)
+    assert table.betti == oracle_betti(ideal, RATIONALS, 60).betti
+    assert table.betti[4] > 0
+    assert elapsed < 2.0

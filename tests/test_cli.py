@@ -198,3 +198,47 @@ def test_undecodable_stdin_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "betti")
     assert code == 2 and out == ""
     assert "cannot read standard input" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-gens", "0"), ("--max-exp", "-1"), ("--max-exp", "0"), ("--samples", "-3"),
+])
+def test_experiment_rejects_out_of_range_arguments(capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["experiment", flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_verify_reports_every_mismatching_multidegree(capsys, monkeypatch):
+    from betti4.engine import full_table
+    from betti4.tables import BettiTable, projective_dimension
+
+    def corrupted(ideal, want_multigraded=False, cap=20):
+        # one extra beta3 on every row that carries a beta2
+        table = full_table(ideal, want_multigraded, cap)
+        rows = {m: (row[:3] + (row[3] + 1,) + row[4:] if row[2] else row)
+                for m, row in table.multigraded.items()}
+        extra = sum(1 for row in table.multigraded.values() if row[2])
+        betti = table.betti[:3] + (table.betti[3] + extra,) + table.betti[4:]
+        return BettiTable(betti, projective_dimension(betti), rows)
+
+    monkeypatch.setattr("betti4.cli.full_table", corrupted)
+    code, out, err = run(capsys, "verify", "x1^2*x2^2, x1^2*x2*x3, x2*x3*x4^2, x3^2*x4^2", "x1")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == ("line 1: char0=FAIL char2=FAIL char3=FAIL char5=FAIL  betti=[1, 4, 3, 3, 0]"
+                        "  [x3^2*x4^2, x2*x3*x4^2, x1^2*x2*x3, x1^2*x2^2]")
+    assert lines[-1] == "line 2: char0=ok char2=ok char3=ok char5=ok  betti=[1, 1, 0, 0, 0]  [x1]"
+    block = []
+    for degree in ("x2*x3^2*x4^2", "x1^2*x2*x3*x4^2", "x1^2*x2^2*x3"):
+        block += [f"    multidegree: {degree}",
+                  "    expected (oracle): [0, 0, 1, 0, 0]",
+                  "    actual (formula):  [0, 0, 1, 1, 0]"]
+    expected = []
+    for characteristic in (0, 2, 3, 5):
+        expected += [f"  mismatch at characteristic {characteristic}", *block]
+    assert lines[1:-1] == expected

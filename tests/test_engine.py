@@ -2,15 +2,17 @@
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
-from conftest import ideal_of, ideals, permutations_of_4
+from conftest import ideal_of, ideals, permutations_of_4, staircase
 from hypothesis import given, settings, strategies as st
 
 from betti4.atlas import ENTRIES, LABELED_CLASSES
 from betti4.cli import sample_ideal
 from betti4.engine import (
     BettiTable,
+    DominantQuadrupleClass,
     _build_key_table,
     betti2_formula,
     betti3_euler,
@@ -22,9 +24,18 @@ from betti4.engine import (
     pd_two_condition,
     upward_closure,
 )
-from betti4.errors import GeneratorCapExceeded, InternalInconsistency
+from betti4.errors import GeneratorCapExceeded, InternalInconsistency, InvariantViolation
 from betti4.homology import oracle_betti
-from betti4.monomials import UNIT, MonomialIdeal, is_dominant, permute_ideal, permute_monomial
+from betti4.monomials import (
+    UNIT,
+    MonomialIdeal,
+    dominant_members,
+    is_dominant,
+    lcm_all,
+    permute_ideal,
+    permute_monomial,
+    strongly_divides,
+)
 from betti4.multidegrees import enumerate_multidegrees
 from betti4.twins import build_bundle
 
@@ -37,9 +48,9 @@ SECTION8 = ideal_of(
 
 
 def test_betti_table_consistency_checks():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation, match="pd 3"):
         BettiTable((1, 2, 1, 0, 0), pd=3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation, match="bad Betti numbers"):
         BettiTable((1, -1, 0, 0, 0), pd=1)
     table = BettiTable((1, 2, 1, 0, 0), pd=2)
     assert table.total == 4 and table.euler == 0
@@ -161,18 +172,14 @@ def test_betti3_routes_agree(ideal):
     assert betti3_formula(ideal) == betti3_euler(ideal)
 
 
-def _staircase(q, seed):
-    """q distinct monomials of total degree q // 4 + 1: an antichain."""
-    d = q // 4 + 1
-    pool = [(a, b, c, d - a - b - c)
-            for a in range(d + 1) for b in range(d + 1 - a) for c in range(d + 1 - a - b)]
-    return MonomialIdeal(tuple(sorted(random.Random(seed).sample(pool, q))))
-
-
-@given(st.one_of(
+# random-model ideals and same-degree staircase antichains of up to 28 generators
+MODEL_OR_STAIRCASE = st.one_of(
     st.integers(0, 2**32).map(lambda seed: sample_ideal(random.Random(seed), 8, 4)),
-    st.builds(_staircase, st.integers(1, 28), st.integers(0, 2**32)),
-))
+    st.builds(staircase, st.integers(1, 28), st.integers(0, 2**32)),
+)
+
+
+@given(MODEL_OR_STAIRCASE)
 def test_lattice_keys_match_the_reduction_pipeline(ideal):
     degrees = enumerate_multidegrees(ideal, 40)
     keys = list(lattice_keys(ideal.gens, degrees))
@@ -181,6 +188,27 @@ def test_lattice_keys_match_the_reduction_pipeline(ideal):
         bundle = build_bundle(ideal, m)
         assert up == upward_closure(bundle.squarefree.gens)
         assert y_m == bundle.y_m
+
+
+def _dominant_quadruples_by_scan(ideal):
+    """Reference: every 4-subset of the generators, kept when all four
+    members dominate it and no generator strongly divides its lcm."""
+    quads = []
+    lcms = set()
+    for quad in combinations(ideal.gens, 4):
+        if len(dominant_members(quad)) != 4:
+            continue
+        degree = lcm_all(quad)
+        if any(strongly_divides(g, degree) for g in ideal.gens):
+            continue
+        quads.append(quad)
+        lcms.add(degree)
+    return DominantQuadrupleClass(tuple(quads), tuple(sorted(lcms)))
+
+
+@given(MODEL_OR_STAIRCASE)
+def test_dominant_quadruples_match_the_subset_scan(ideal):
+    assert dominant_quadruples(ideal) == _dominant_quadruples_by_scan(ideal)
 
 
 def test_key_table_is_checked_against_the_atlas():

@@ -6,6 +6,7 @@ import pytest
 from conftest import ideal_of, ideals
 from hypothesis import given, strategies as st
 
+from betti4.errors import InvariantViolation
 from betti4.homology import (
     ALL_FIELDS,
     RATIONALS,
@@ -40,7 +41,7 @@ def test_field_spec_rejects_other_characteristics():
 
 
 def test_downward_closure_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation, match="downward closed"):
         complex_of(0b0011)  # an edge without its vertices
 
 

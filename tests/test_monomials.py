@@ -2,6 +2,7 @@ import pytest
 from conftest import ideal_of, ideals, monomials, permutations_of_4
 from hypothesis import given
 
+from betti4.errors import InvariantViolation
 from betti4.monomials import (
     UNIT,
     MonomialIdeal,
@@ -78,7 +79,7 @@ def test_minimalize_idempotent(ideal):
 
 
 def test_ideal_rejects_redundant_generators():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation, match="minimal"):
         MonomialIdeal(((1, 0, 0, 0), (2, 0, 0, 0)))
 
 

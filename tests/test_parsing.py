@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from betti4.cli import format_ideal
 from betti4.errors import ExponentCapExceeded, ParseError, VariableOutOfRange
-from betti4.parsing import parse_ideal
+from betti4.monomials import MonomialIdeal, minimalize
+from betti4.parsing import DEFAULT_EXP_CAP, parse_ideal
 
 
 def test_worked_example_string():
@@ -112,3 +114,19 @@ def test_parse_error_carries_position():
         parse_ideal("x1, x2 x3")
     assert info.value.position == 7
     assert "position 7" in str(info.value)
+
+
+@st.composite
+def capped_ideals(draw):
+    """(cap, nonzero minimal ideal with every exponent at most cap); the
+    zero ideal is left out because it prints as "(0)", which is not input."""
+    cap = draw(st.integers(1, 2 * DEFAULT_EXP_CAP))
+    exp = st.integers(0, cap)
+    gens = draw(st.lists(st.tuples(exp, exp, exp, exp), min_size=1, max_size=8))
+    return cap, MonomialIdeal(minimalize(gens))
+
+
+@given(capped_ideals())
+def test_format_then_parse_round_trips(case):
+    cap, ideal = case
+    assert parse_ideal(format_ideal(ideal), cap) == ideal

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from betti4.errors import InvariantViolation
 from betti4.monomials import permute_monomial, support_mask
 from betti4.squarefree import (
     SquarefreeIdeal,
@@ -46,7 +47,7 @@ def test_minimalize_masks():
 
 
 def test_antichain_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation, match="minimal"):
         SquarefreeIdeal((0b0001, 0b0011))
 
 
