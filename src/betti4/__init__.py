@@ -44,7 +44,7 @@ from .monomials import (
     strongly_divides,
     support_mask,
 )
-from .multidegrees import DEFAULT_GEN_CAP, MultidegreeSet, enumerate_multidegrees
+from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .parsing import DEFAULT_EXP_CAP, parse_ideal
 from .squarefree import SquarefreeIdeal, mask_monomial, mask_string, parse_mask, shape_descriptor
 from .tables import BettiTable
@@ -96,7 +96,6 @@ __all__ = [
     "InternalInconsistency",
     "InvariantViolation",
     "MonomialIdeal",
-    "MultidegreeSet",
     "NUM_VARS",
     "NegativeBetti",
     "NotInAtlas",

@@ -9,7 +9,7 @@ are written with y1 leftmost.
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import NotInAtlas
+from .errors import InternalInconsistency, NotInAtlas
 from .squarefree import SquarefreeIdeal, mask_string, parse_mask, permute_mask
 
 # (id, generators, degree, beta2, beta3).  Generators appear in their
@@ -131,8 +131,10 @@ def _load():
         support = 0
         for g in gens:
             support |= g
-        assert support == entry.y_m, f"entry {cid}: degree is not lcm of generators"
-        assert cid not in entries
+        if support != entry.y_m:
+            raise InternalInconsistency(f"entry {cid}: degree is not lcm of generators")
+        if cid in entries:
+            raise InternalInconsistency(f"entry {cid} is listed twice")
         entries[cid] = entry
         forms = {tuple(sorted(permute_mask(g, perm) for g in gens)) for perm in _PERMS}
         for form in forms:
@@ -142,9 +144,12 @@ def _load():
             # relabeling-equivalent entries must carry identical rows for
             # smallest-id lookup to be sound
             other = entries[prior]
-            assert (other.beta2, other.beta3) == (b2, b3), f"entries {prior} and {cid} disagree"
-    assert len(entries) == 66
-    assert len({e.gens for e in entries.values()}) == 66, "labeled generator sets must be distinct"
+            if (other.beta2, other.beta3) != (b2, b3):
+                raise InternalInconsistency(f"entries {prior} and {cid} disagree")
+    if len(entries) != 66:
+        raise InternalInconsistency(f"{len(entries)} atlas entries, expected 66")
+    if len({e.gens for e in entries.values()}) != 66:
+        raise InternalInconsistency("labeled generator sets must be distinct")
     return entries, index, labeled
 
 

@@ -39,8 +39,8 @@ def format_monomial(m):
 
 
 def format_ideal(ideal):
-    if ideal.is_zero:
-        return "(0)"
+    """Generators comma-separated; the zero ideal prints as the empty string,
+    which parse_ideal reads back as the zero ideal."""
     return ", ".join(format_monomial(g) for g in ideal.gens)
 
 

@@ -11,8 +11,8 @@ usable as an oracle for all of them.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import GeneratorCapExceeded, InvariantViolation
-from .monomials import UNIT, divides
+from .errors import GeneratorCapExceeded, InternalInconsistency, InvariantViolation
+from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .tables import BettiTable, projective_dimension
 
@@ -38,54 +38,51 @@ RATIONALS = FieldSpec(0)
 ALL_FIELDS = tuple(FieldSpec(c) for c in SUPPORTED_CHARACTERISTICS)
 
 
+# WITH[i] is the 16-bit set of vertex sets that contain vertex i, and
+# MISSES[a] the set of vertex sets t with t & a == 0.
+WITH = tuple(sum(1 << t for t in range(16) if t >> i & 1) for i in range(4))
+MISSES = tuple(sum(1 << t for t in range(16) if not t & a) for a in range(16))
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Downward-closed family of subsets of {1..4}, stored as vertex masks.
+    """Downward-closed family of subsets of {1..4}, as a 16-bit face set.
 
-    The void complex (no faces at all) and the irrelevant complex (only
-    the empty face) are different objects with different homology, so
-    both are representable.
+    Bit t of face_bits is set iff the vertex set t (a 4-bit mask) is a
+    face.  The void complex (0, no faces at all) and the irrelevant
+    complex (1, only the empty face) have different homology, so both
+    are representable.
     """
 
-    faces: frozenset
+    face_bits: int
 
     def __post_init__(self):
-        for f in self.faces:
-            if not 0 <= f < 16:
-                raise InvariantViolation(f"bad face {f!r}")
-            if not all(f & ~(1 << i) in self.faces for i in range(4) if f >> i & 1):
-                raise InvariantViolation("face set must be downward closed")
-
-    @property
-    def face_bits(self):
-        """16-bit fingerprint: bit t set iff vertex set t is a face."""
-        bits = 0
-        for f in self.faces:
-            bits |= 1 << f
-        return bits
+        bits = self.face_bits
+        if not 0 <= bits < 1 << 16:
+            raise InvariantViolation(f"face set {bits!r} is not a 16-bit set")
+        # moving every face that contains vertex i down to the face
+        # without i (bit t to bit t - 2^i) must land on faces again
+        w0, w1, w2, w3 = WITH
+        if ((bits & w0) >> 1 | (bits & w1) >> 2 | (bits & w2) >> 4 | (bits & w3) >> 8) & ~bits:
+            raise InvariantViolation("face set must be downward closed")
 
 
 def koszul_complex(ideal, b):
     """Faces are the vertex masks t with b - t >= 0 and x^(b-t) in the ideal.
 
+    A generator g divides x^(b-t) iff g divides b and g_j < b_j for every
+    j in t, so the faces it contributes are the t missing the variables
+    where g_j == b_j (b_j == 0 among them, which keeps b - t >= 0).
     Downward closure is automatic: shrinking t raises x^(b-t) to a
     multiple, which stays in the ideal.  The zero ideal gives the void
     complex.
     """
-    gens = ideal.gens
-    faces = set()
-    for t in range(16):
-        shifted = (
-            b[0] - (t & 1),
-            b[1] - (t >> 1 & 1),
-            b[2] - (t >> 2 & 1),
-            b[3] - (t >> 3 & 1),
-        )
-        if min(shifted) < 0:
-            continue
-        if any(divides(g, shifted) for g in gens):
-            faces.add(t)
-    return SimplicialComplex(frozenset(faces))
+    b0, b1, b2, b3 = b
+    bits = 0
+    for g0, g1, g2, g3 in ideal.gens:
+        if g0 <= b0 and g1 <= b1 and g2 <= b2 and g3 <= b3:
+            bits |= MISSES[(g0 == b0) | (g1 == b1) << 1 | (g2 == b2) << 2 | (g3 == b3) << 3]
+    return SimplicialComplex(bits)
 
 
 def _matrix_rank(rows, char):
@@ -147,13 +144,15 @@ def _homology_profile(face_bits, char):
         ranks[d + 1] = _matrix_rank(_boundary_matrix(faces, d), char)
     profile = tuple(counts[d + 1] - ranks[d + 1] - ranks[d + 2] for d in range(-1, 4))
     # four variables never leave homology at the top dimension
-    assert profile[4] == 0
+    if profile[4]:
+        raise InternalInconsistency(f"face set {face_bits:#06x} has homology in dimension 3")
     return profile
 
 
 def reduced_homology_rank(complex_, dim, field=RATIONALS):
     """Dimension of reduced homology of the complex over the field."""
-    assert -1 <= dim <= 3
+    if not -1 <= dim <= 3:
+        raise ValueError(f"dimension {dim} is outside -1..3")
     return _homology_profile(complex_.face_bits, field.characteristic)[dim + 1]
 
 

@@ -122,7 +122,8 @@ def dominant_members(gens):
 
 def dominant_generators(ideal):
     """The dominant generators of an ideal."""
-    assert ideal.gens, "the zero ideal has no generators to classify"
+    if not ideal.gens:
+        raise ValueError("the zero ideal has no generators to classify")
     return dominant_members(ideal.gens)
 
 

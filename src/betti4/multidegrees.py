@@ -1,36 +1,13 @@
 """Distinct multidegrees of the Taylor resolution: lcms of generator subsets."""
 
-from dataclasses import dataclass
-
 from .errors import GeneratorCapExceeded
 from .monomials import UNIT, lcm
 
 DEFAULT_GEN_CAP = 20
 
 
-@dataclass(frozen=True)
-class MultidegreeSet:
-    """Deduplicated, lex-sorted lcms of all subsets of a generating set."""
-
-    degrees: tuple
-    subset_count: int  # 2^q for q generators
-
-    def __post_init__(self):
-        assert list(self.degrees) == sorted(set(self.degrees))
-        assert 0 < len(self.degrees) <= self.subset_count
-
-    def __len__(self):
-        return len(self.degrees)
-
-    def __iter__(self):
-        return iter(self.degrees)
-
-    def __contains__(self, m):
-        return m in self.degrees
-
-
 def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
-    """All distinct lcms of subsets of the generating set, lex-sorted.
+    """All distinct lcms of subsets of the generating set, as a lex-sorted tuple.
 
     The set is grown one generator at a time (new subsets containing g
     are lcms of old subsets with g), so memory tracks the number of
@@ -43,4 +20,4 @@ def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
     seen = {UNIT}
     for g in ideal.gens:
         seen |= {lcm(v, g) for v in seen}
-    return MultidegreeSet(tuple(sorted(seen)), 2**q)
+    return tuple(sorted(seen))

@@ -67,7 +67,8 @@ def mask_string(mask):
 
 def parse_mask(text):
     """Inverse of mask_string."""
-    assert len(text) == 4 and set(text) <= {"0", "1"}, f"bad bit-string {text!r}"
+    if len(text) != 4 or not set(text) <= {"0", "1"}:
+        raise ValueError(f"bad bit-string {text!r}")
     return sum(1 << i for i, c in enumerate(text) if c == "1")
 
 

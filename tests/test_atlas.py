@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from betti4 import atlas
 from betti4.atlas import atlas_entries, atlas_records, canonicalize, lookup_multigraded
+from betti4.errors import InternalInconsistency
 from betti4.squarefree import SquarefreeIdeal, parse_mask, permute_mask
 
 perms = st.permutations(range(4)).map(tuple)
@@ -16,6 +18,24 @@ def sq(*bit_strings):
 def entry(class_id):
     table = {e.id: e for e in atlas_entries()}
     return table[class_id]
+
+
+def test_loader_rejects_a_corrupted_table(monkeypatch):
+    table = atlas._TABLE
+    first, ninth, last = table[0], table[8], table[-1]
+    assert (ninth[0], last[0]) == (9, 66)
+    corruptions = {
+        "degree is not lcm": ((1, first[1], "1000", 0, 0),) + table[1:],
+        "listed twice": table + (last,),
+        "65 atlas entries": table[:-1],
+        # classes 7 and 9 are relabelings of one another
+        "entries 7 and 9 disagree": table[:8] + ((9, ninth[1], ninth[2], ninth[3] + 1, 0),) + table[9:],
+        "must be distinct": table[:-1] + ((66,) + table[-2][1:],),
+    }
+    for message, corrupted in corruptions.items():
+        monkeypatch.setattr(atlas, "_TABLE", corrupted)
+        with pytest.raises(InternalInconsistency, match=message):
+            atlas._load()
 
 
 def test_table_shape():

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from conftest import ideal_of, ideals
+from conftest import ideal_of, ideals, staircase
 from hypothesis import given, strategies as st
 
 from betti4.errors import InvariantViolation
@@ -16,12 +16,26 @@ from betti4.homology import (
     oracle_betti,
     reduced_homology_rank,
 )
-from betti4.monomials import UNIT, MonomialIdeal
+from betti4.monomials import UNIT, MonomialIdeal, divides
 from betti4.multidegrees import enumerate_multidegrees
 
 
 def complex_of(*faces):
-    return SimplicialComplex(frozenset(faces))
+    return SimplicialComplex(sum(1 << f for f in set(faces)))
+
+
+def koszul_by_shifts(ideal, b):
+    """Reference: test each of the 16 shifts x^(b-t) against every generator."""
+    faces = []
+    for t in range(16):
+        shifted = tuple(b[j] - (t >> j & 1) for j in range(4))
+        if min(shifted) >= 0 and any(divides(g, shifted) for g in ideal.gens):
+            faces.append(t)
+    return complex_of(*faces)
+
+
+def is_downward_closed(faces):
+    return all(f & ~(1 << i) in faces for f in faces for i in range(4) if f >> i & 1)
 
 
 VOID = complex_of()
@@ -45,6 +59,22 @@ def test_downward_closure_enforced():
         complex_of(0b0011)  # an edge without its vertices
 
 
+def test_exactly_the_168_downward_closed_face_sets_are_complexes():
+    accepted = []
+    for bits in range(1 << 16):
+        try:
+            SimplicialComplex(bits)
+        except InvariantViolation:
+            continue
+        accepted.append(bits)
+    # Dedekind's M(4): 168 downward-closed families of subsets of {1..4}
+    assert len(accepted) == 168
+    assert all(is_downward_closed({t for t in range(16) if bits >> t & 1}) for bits in accepted)
+    for bits in (-1, 1 << 16):
+        with pytest.raises(InvariantViolation, match="16-bit"):
+            SimplicialComplex(bits)
+
+
 def test_homology_of_small_complexes():
     assert reduced_homology_rank(IRRELEVANT, -1) == 1
     assert all(reduced_homology_rank(IRRELEVANT, d) == 0 for d in range(0, 4))
@@ -65,12 +95,41 @@ def test_homology_is_field_independent_on_four_vertices():
 
 def test_koszul_complex_membership():
     principal = ideal_of((1, 0, 0, 0))
-    assert koszul_complex(principal, (1, 0, 0, 0)).faces == frozenset({0})
+    assert koszul_complex(principal, (1, 0, 0, 0)) == IRRELEVANT
 
     two = ideal_of((1, 0, 0, 0), (0, 1, 0, 0))
-    assert koszul_complex(two, (1, 1, 0, 0)).faces == frozenset({0, 0b0001, 0b0010})
+    assert koszul_complex(two, (1, 1, 0, 0)) == TWO_POINTS
 
-    assert koszul_complex(MonomialIdeal(()), (2, 2, 2, 2)).faces == frozenset()
+    assert koszul_complex(MonomialIdeal(()), (2, 2, 2, 2)) == VOID
+
+
+@st.composite
+def ideals_and_degrees(draw):
+    """An ideal (zero, random or a staircase) and a degree b that is one of
+    its lattice points or any point of [0, 4]^4, zero exponents included."""
+    ideal = draw(st.one_of(
+        st.just(MonomialIdeal(())),
+        ideals(),
+        st.builds(staircase, st.integers(1, 20), st.integers(0, 2**32)),
+    ))
+    b = draw(st.one_of(
+        st.sampled_from(enumerate_multidegrees(ideal)),
+        st.tuples(*(st.integers(0, 4),) * 4),
+    ))
+    return ideal, b
+
+
+@given(ideals_and_degrees())
+def test_koszul_complex_matches_the_shift_definition(case):
+    ideal, b = case
+    assert koszul_complex(ideal, b) == koszul_by_shifts(ideal, b)
+
+
+@pytest.mark.parametrize("q, seed", [(4, 1), (9, 2), (16, 3)])
+def test_koszul_complex_matches_the_shift_definition_on_staircase_lattices(q, seed):
+    ideal = staircase(q, seed)
+    for b in enumerate_multidegrees(ideal):
+        assert koszul_complex(ideal, b) == koszul_by_shifts(ideal, b)
 
 
 def test_oracle_on_the_variable_ideal():
@@ -109,6 +168,12 @@ def test_oracle_vanishes_off_the_multidegree_set(ideal, b):
         return
     faces = koszul_complex(ideal, b)
     assert all(reduced_homology_rank(faces, d) == 0 for d in range(-1, 3))
+
+
+def test_homology_rank_rejects_dimensions_outside_the_four_vertices():
+    for dim in (-2, 4):
+        with pytest.raises(ValueError, match="outside -1..3"):
+            reduced_homology_rank(IRRELEVANT, dim)
 
 
 def test_rationals_is_characteristic_zero():

@@ -106,6 +106,13 @@ def test_semidominance_examples():
     assert dominant_generators(zero) == zero.gens
 
 
+def test_zero_ideal_has_no_dominance_verdict():
+    zero = MonomialIdeal(())
+    for classify in (dominant_generators, semidominance, is_dominant):
+        with pytest.raises(ValueError, match="zero ideal"):
+            classify(zero)
+
+
 def test_single_generator_is_dominant():
     assert is_dominant(ideal_of((1, 1, 1, 1)))
 

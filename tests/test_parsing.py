@@ -118,11 +118,11 @@ def test_parse_error_carries_position():
 
 @st.composite
 def capped_ideals(draw):
-    """(cap, nonzero minimal ideal with every exponent at most cap); the
-    zero ideal is left out because it prints as "(0)", which is not input."""
+    """(cap, minimal ideal with every exponent at most cap); an empty
+    generator list gives the zero ideal, which prints as the empty string."""
     cap = draw(st.integers(1, 2 * DEFAULT_EXP_CAP))
     exp = st.integers(0, cap)
-    gens = draw(st.lists(st.tuples(exp, exp, exp, exp), min_size=1, max_size=8))
+    gens = draw(st.lists(st.tuples(exp, exp, exp, exp), min_size=0, max_size=8))
     return cap, MonomialIdeal(minimalize(gens))
 
 

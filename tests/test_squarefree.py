@@ -29,6 +29,12 @@ def test_mask_string_roundtrip(mask):
     assert parse_mask(mask_string(mask)) == mask
 
 
+@pytest.mark.parametrize("text", ["100", "10000", "1020", "abcd", ""])
+def test_parse_mask_rejects_bad_bit_strings(text):
+    with pytest.raises(ValueError, match="bad bit-string"):
+        parse_mask(text)
+
+
 @given(masks)
 def test_mask_monomial_roundtrip(mask):
     assert support_mask(mask_monomial(mask)) == mask
