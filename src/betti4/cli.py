@@ -10,6 +10,7 @@ input.
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -74,8 +75,11 @@ def _cap_flags(parser):
 
 
 def _input_flags(parser):
-    parser.add_argument("ideals", nargs="*", help="generator lists; stdin when omitted")
-    parser.add_argument("--file", help="read ideals from a file, one per line")
+    # one source of ideals: argparse rejects positional ideals with --file
+    # (exit 2); a "*" positional may join the group only with a default
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("ideals", nargs="*", default=[], help="generator lists; stdin when omitted")
+    source.add_argument("--file", help="read ideals from a file, one per line, instead of arguments")
 
 
 def _multigraded_json(rows):
@@ -233,7 +237,9 @@ def _int_at_least(low):
     return parse
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="betti4",
         description="Betti numbers of monomial ideals in four variables",

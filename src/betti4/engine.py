@@ -9,8 +9,10 @@ from the Euler characteristic and the two values are cross-checked at
 runtime.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import itemgetter
 
 from .atlas import ENTRIES, LABELED_CLASSES
 from .errors import InternalInconsistency, InvariantViolation, NegativeBetti
@@ -45,6 +47,8 @@ def dominant_quadruples(ideal):
     four variables; those g are the members of the list d is drawn from
     whose x4 exponent is below d3.  So m survives iff d3 is the least x4
     exponent on that list, and every d attaining it shares the same m.
+    The lists for all c of one (a, b) are prefixes of one list ordered by
+    x3, so d3 is read from its running minima of x4.
     """
     gens = ideal.gens
     quads = []
@@ -59,19 +63,24 @@ def dominant_quadruples(ideal):
             # c and d need not exceed a in x2, so filter below_a, not b's candidates
             below_ab = [g for g in below_a if g[1] < b1]
             c_floor = max(a2, b[2])
+            cs = [c for c in below_ab if c[2] > c_floor]
+            if not cs:
+                continue
             d_floor = max(a3, b[3])
-            for c in below_ab:
+            # d's list for c is the prefix of below_ab, ordered by x3, with x3 < c2
+            below_ab.sort(key=itemgetter(2))
+            x3s = [g[2] for g in below_ab]
+            lows = list(accumulate([g[3] for g in below_ab], min))
+            for c in cs:
                 c2 = c[2]
-                if c2 <= c_floor:
+                k = bisect_left(x3s, c2)
+                if not k:
                     continue
-                below_abc = [g for g in below_ab if g[2] < c2]
-                if not below_abc:
-                    continue
-                d3 = min(g[3] for g in below_abc)
+                d3 = lows[k - 1]
                 if d3 <= d_floor or d3 <= c[3]:
                     continue
                 lcms.add((a0, b1, c2, d3))
-                for d in below_abc:
+                for d in below_ab[:k]:
                     if d[3] == d3:
                         quads.append(tuple(sorted((a, b, c, d))))
     quads.sort()
@@ -163,15 +172,24 @@ def lattice_keys(gens, degrees):
 
     up is the upward closure of the twin masks of the generators that
     divide m: the twin mask of g has bit j set iff g_j == m_j > 0.
-    y_m is the support of m.
+    y_m is the support of m.  A dividing generator with an empty twin
+    mask (g_j < m_j on all of supp(m)) makes up the set of all 16 masks,
+    so the scan stops there; the key table gives such an m the zero row
+    unless m = 1.
     """
+    full = UP[0]
     for m in degrees:
         m0, m1, m2, m3 = m
         up = 0
         for g0, g1, g2, g3 in gens:
             if g0 <= m0 and g1 <= m1 and g2 <= m2 and g3 <= m3:
-                up |= UP[(g0 == m0 > 0) | (g1 == m1 > 0) << 1 | (g2 == m2 > 0) << 2
-                         | (g3 == m3 > 0) << 3]
+                mask = ((g0 == m0 > 0) | (g1 == m1 > 0) << 1 | (g2 == m2 > 0) << 2
+                        | (g3 == m3 > 0) << 3)
+                if not mask:
+                    # UP[0] holds every mask, so no later generator can add one
+                    up = full
+                    break
+                up |= UP[mask]
         yield m, up, (m0 > 0) | (m1 > 0) << 1 | (m2 > 0) << 2 | (m3 > 0) << 3
 
 

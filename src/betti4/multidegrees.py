@@ -1,7 +1,7 @@
 """Distinct multidegrees of the Taylor resolution: lcms of generator subsets."""
 
 from .errors import GeneratorCapExceeded
-from .monomials import UNIT, lcm
+from .monomials import UNIT
 
 DEFAULT_GEN_CAP = 20
 
@@ -18,6 +18,9 @@ def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
     if q > cap:
         raise GeneratorCapExceeded(f"{q} generators exceed the cap of {cap}")
     seen = {UNIT}
-    for g in ideal.gens:
-        seen |= {lcm(v, g) for v in seen}
+    for g0, g1, g2, g3 in ideal.gens:
+        # lcm(v, g), written out: a call per pair costs more than the max itself
+        seen |= {(v0 if v0 > g0 else g0, v1 if v1 > g1 else g1,
+                  v2 if v2 > g2 else g2, v3 if v3 > g3 else g3)
+                 for v0, v1, v2, v3 in seen}
     return tuple(sorted(seen))

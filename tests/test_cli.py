@@ -242,3 +242,47 @@ def test_verify_reports_every_mismatching_multidegree(capsys, monkeypatch):
     for characteristic in (0, 2, 3, 5):
         expected += [f"  mismatch at characteristic {characteristic}", *block]
     assert lines[1:-1] == expected
+
+
+@pytest.mark.parametrize("command", ["betti", "verify"])
+@pytest.mark.parametrize("order", ["ideals first", "file first"])
+def test_file_and_positional_ideals_are_rejected_together(capsys, tmp_path, command, order):
+    # the file does not exist: the combination is refused before any input is read
+    path = str(tmp_path / "absent.txt")
+    argv = [command, "x1", "--file", path] if order == "ideals first" else [command, "--file", path, "x1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err and "--file" in err and "ideals" in err
+
+
+WORKED = "x1^2*x2^2, x1^2*x2*x3, x2*x3*x4^2, x3^2*x4^2"
+
+
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse exits included."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("calls", [
+    [(["betti", "--multigraded", WORKED], 0), (["betti", WORKED], 0)],
+    [(["verify", WORKED], 0), (["betti", "--json", WORKED], 0)],
+    [(["betti", "x1*x2, x3"], 0), (["experiment", "--max-gens", "0"], 2), (["betti", "x1*x2, x3"], 0)],
+])
+def test_cached_parser_keeps_no_state_between_calls(capsys, calls):
+    # each call must print what it prints as the first call of a process
+    first = []
+    for argv, _ in calls:
+        build_parser.cache_clear()
+        first.append(_call(capsys, argv))
+    build_parser.cache_clear()
+    in_sequence = [_call(capsys, argv) for argv, _ in calls]
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in first] == [code for _, code in calls]
+    assert in_sequence == first

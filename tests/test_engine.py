@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from betti4.atlas import ENTRIES, LABELED_CLASSES
 from betti4.cli import sample_ideal
 from betti4.engine import (
+    UP,
     BettiTable,
     DominantQuadrupleClass,
     _build_key_table,
@@ -20,15 +21,17 @@ from betti4.engine import (
     betti4,
     dominant_quadruples,
     full_table,
+    key_rows,
     lattice_keys,
     pd_two_condition,
     upward_closure,
 )
 from betti4.errors import GeneratorCapExceeded, InternalInconsistency, InvariantViolation
-from betti4.homology import oracle_betti
+from betti4.homology import ALL_FIELDS, multigraded_oracle, oracle_betti
 from betti4.monomials import (
     UNIT,
     MonomialIdeal,
+    divides,
     dominant_members,
     is_dominant,
     lcm_all,
@@ -188,6 +191,34 @@ def test_lattice_keys_match_the_reduction_pipeline(ideal):
         bundle = build_bundle(ideal, m)
         assert up == upward_closure(bundle.squarefree.gens)
         assert y_m == bundle.y_m
+
+
+def _saturated(ideal, m):
+    """True iff some generator dividing m lies below m on all of supp(m),
+    i.e. has an empty twin mask there."""
+    return any(divides(g, m) and all(g[j] < m[j] for j in range(4) if m[j]) for g in ideal.gens)
+
+
+@given(MODEL_OR_STAIRCASE)
+def test_saturated_lattice_points_have_zero_rows(ideal):
+    # where lattice_keys stops its scan early, the key, the key table and
+    # the homology oracle must all give the zero row
+    degrees = enumerate_multidegrees(ideal, 40)
+    nonzero = {m for m, _, _ in key_rows(ideal.gens, degrees)}
+    for m, up, _ in lattice_keys(ideal.gens, degrees):
+        if not _saturated(ideal, m):
+            continue
+        assert up == UP[0]
+        assert m not in nonzero
+        for field in ALL_FIELDS:
+            assert multigraded_oracle(ideal, m, field)[1:] == (0, 0, 0, 0)
+
+
+def test_most_staircase_lattice_points_are_saturated():
+    ideal = staircase(24, 5)
+    degrees = enumerate_multidegrees(ideal, 40)
+    saturated = sum(_saturated(ideal, m) for m in degrees)
+    assert saturated > len(degrees) // 2
 
 
 def _dominant_quadruples_by_scan(ideal):
