@@ -11,12 +11,12 @@ runtime.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import itemgetter
 
 from .atlas import ENTRIES, LABELED_CLASSES
 from .errors import InternalInconsistency, InvariantViolation, NegativeBetti
-from .monomials import UNIT, divides, lcm
+from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
 from .tables import BettiTable, projective_dimension
@@ -285,12 +285,14 @@ def pd_two_condition(ideal):
     When true the projective dimension is exactly 2 (so beta3 and beta4
     vanish); the converse fails.  The predicate concerns ideals with at
     least two generators; smaller ones report False.
+
+    c divides lcm(a, b) for every pair of the others iff, in each
+    variable, at most one other generator has a smaller exponent than c,
+    i.e. c_j is at most the second-smallest x_j exponent of all the
+    generators (repeats counted).
     """
     gens = ideal.gens
     if len(gens) < 2:
         return False
-    for cand in gens:
-        others = [g for g in gens if g != cand]
-        if all(divides(cand, lcm(a, b)) for a, b in combinations(others, 2)):
-            return True
-    return False
+    s0, s1, s2, s3 = (sorted(column)[1] for column in zip(*gens))
+    return any(c0 <= s0 and c1 <= s1 and c2 <= s2 and c3 <= s3 for c0, c1, c2, c3 in gens)

@@ -67,6 +67,17 @@ class SimplicialComplex:
             raise InvariantViolation("face set must be downward closed")
 
 
+@lru_cache(maxsize=None)
+def _interned_complex(face_bits):
+    """The one SimplicialComplex for a face set.
+
+    Keyed on the 16-bit set, so it holds at most the 168 complexes on
+    four vertices; each is validated when first built, and a set the
+    constructor rejects raises again on every call, never cached.
+    """
+    return SimplicialComplex(face_bits)
+
+
 def koszul_complex(ideal, b):
     """Faces are the vertex masks t with b - t >= 0 and x^(b-t) in the ideal.
 
@@ -75,14 +86,14 @@ def koszul_complex(ideal, b):
     where g_j == b_j (b_j == 0 among them, which keeps b - t >= 0).
     Downward closure is automatic: shrinking t raises x^(b-t) to a
     multiple, which stays in the ideal.  The zero ideal gives the void
-    complex.
+    complex.  Equal face sets give the identical, interned complex.
     """
     b0, b1, b2, b3 = b
     bits = 0
     for g0, g1, g2, g3 in ideal.gens:
         if g0 <= b0 and g1 <= b1 and g2 <= b2 and g3 <= b3:
             bits |= MISSES[(g0 == b0) | (g1 == b1) << 1 | (g2 == b2) << 2 | (g3 == b3) << 3]
-    return SimplicialComplex(bits)
+    return _interned_complex(bits)
 
 
 def _matrix_rank(rows, char):
@@ -124,6 +135,10 @@ def _boundary_matrix(faces, d):
         for k, v in enumerate(vertices):
             matrix[index[f & ~(1 << v)]][j] = -1 if k % 2 else 1
     return matrix
+
+
+# the profile of a complex with no reduced homology at all
+_ACYCLIC = (0, 0, 0, 0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -168,19 +183,24 @@ def multigraded_oracle(ideal, b, field=RATIONALS):
 
 
 def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=False):
-    """Betti table of S/ideal by summing Koszul homology over all multidegrees."""
+    """Betti table of S/ideal by summing Koszul homology over all multidegrees.
+
+    Each lattice point reads its row straight from the cached homology
+    profile, as multigraded_oracle does; only the unit and the points
+    with nonzero homology keep a row, and the totals are the column sums.
+    """
     if ideal.is_zero:
         table = (1, 0, 0, 0, 0)
         return BettiTable(table, 0, {UNIT: table} if want_multigraded else None)
     if len(ideal.gens) > cap:
         raise GeneratorCapExceeded(f"{len(ideal.gens)} generators exceed the cap of {cap}")
-    totals = [0] * 5
-    rows = {} if want_multigraded else None
+    char = field.characteristic
+    rows = {}
     for b in enumerate_multidegrees(ideal, cap):
-        row = multigraded_oracle(ideal, b, field)
-        for i, value in enumerate(row):
-            totals[i] += value
-        if rows is not None and any(row):
-            rows[b] = row
-    betti = tuple(totals)
-    return BettiTable(betti, projective_dimension(betti), rows)
+        h = _homology_profile(koszul_complex(ideal, b).face_bits, char)
+        if b == UNIT:
+            rows[b] = (1, h[0], h[1], h[2], h[3])
+        elif h != _ACYCLIC:
+            rows[b] = (0, h[0], h[1], h[2], h[3])
+    betti = tuple(map(sum, zip(*rows.values())))
+    return BettiTable(betti, projective_dimension(betti), rows if want_multigraded else None)

@@ -27,12 +27,14 @@ class BettiTable:
         if self.pd != projective_dimension(self.betti):
             raise InvariantViolation(f"pd {self.pd} does not match {self.betti!r}")
         if self.multigraded is not None:
-            sums = [0] * 5
-            for row in self.multigraded.values():
-                for i, b in enumerate(row):
-                    sums[i] += b
-            if tuple(sums) != self.betti:
-                raise InvariantViolation("multigraded map must sum to the totals")
+            # a row of another length leaves a column sum short or extra,
+            # or makes the strict zip raise
+            try:
+                sums = tuple(map(sum, zip(*self.multigraded.values(), strict=True)))
+            except ValueError:
+                sums = None
+            if sums != self.betti:
+                raise InvariantViolation("multigraded rows must be 5-tuples that sum to the totals")
 
     @property
     def euler(self):
@@ -47,4 +49,7 @@ class BettiTable:
 
 def projective_dimension(betti):
     """Largest homological degree with a nonzero Betti number."""
-    return max((i for i, b in enumerate(betti) if b), default=0)
+    for i in range(len(betti) - 1, 0, -1):
+        if betti[i]:
+            return i
+    return 0

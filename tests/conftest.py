@@ -1,10 +1,16 @@
 """Shared strategies and helpers for the suite."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
+import betti4
+from betti4.cli import sample_ideal
 from betti4.monomials import MonomialIdeal, minimalize
 
 settings.register_profile("suite", deadline=None)
@@ -36,3 +42,22 @@ def ideals(max_gens=6, max_exp=4):
 
 def permutations_of_4():
     return st.permutations(range(4)).map(tuple)
+
+
+def model_or_staircase(max_q=28):
+    """Random-model ideals (at most 8 generators, exponent at most 4) and
+    same-degree staircase antichains of up to max_q generators."""
+    return st.one_of(
+        st.integers(0, 2**32).map(lambda seed: sample_ideal(random.Random(seed), 8, 4)),
+        st.builds(staircase, st.integers(1, max_q), st.integers(0, 2**32)),
+    )
+
+
+def run_fresh_interpreter(code, *options):
+    """stdout of code run by a new interpreter (with the given command-line
+    options) that imports this checkout's betti4; fails on a nonzero exit."""
+    src = str(Path(betti4.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *options, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return done.stdout

@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import ideal_of, ideals, permutations_of_4, staircase
+from conftest import ideal_of, ideals, model_or_staircase, permutations_of_4, staircase
 from hypothesis import given, settings, strategies as st
 
 from betti4.atlas import ENTRIES, LABELED_CLASSES
@@ -34,6 +34,7 @@ from betti4.monomials import (
     divides,
     dominant_members,
     is_dominant,
+    lcm,
     lcm_all,
     permute_ideal,
     permute_monomial,
@@ -48,6 +49,7 @@ SECTION8 = ideal_of(
     (3, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 3, 0, 0),
     (0, 0, 3, 0), (0, 0, 2, 1), (0, 0, 1, 2), (0, 0, 0, 3),
 )
+MODEL_OR_STAIRCASE = model_or_staircase()
 
 
 def test_betti_table_consistency_checks():
@@ -57,6 +59,23 @@ def test_betti_table_consistency_checks():
         BettiTable((1, -1, 0, 0, 0), pd=1)
     table = BettiTable((1, 2, 1, 0, 0), pd=2)
     assert table.total == 4 and table.euler == 0
+
+
+def test_long_multigraded_row_is_rejected():
+    with pytest.raises(InvariantViolation, match="5-tuples"):
+        BettiTable((1, 0, 0, 0, 0), 0, {UNIT: (1, 0, 0, 0, 0, 0)})
+    # a long row next to well-formed ones trips the strict column zip
+    with pytest.raises(InvariantViolation, match="5-tuples"):
+        BettiTable((1, 1, 0, 0, 0), 1, {UNIT: (1, 0, 0, 0, 0), (1, 0, 0, 0): (0, 1, 0, 0, 0, 0)})
+
+
+def test_short_multigraded_row_is_rejected():
+    # this 4-entry row adds up to the first four totals
+    with pytest.raises(InvariantViolation, match="5-tuples"):
+        BettiTable((1, 0, 0, 0, 0), 0, {UNIT: (1, 0, 0, 0)})
+    # a short row next to a well-formed one trips the strict column zip
+    with pytest.raises(InvariantViolation, match="5-tuples"):
+        BettiTable((1, 1, 0, 0, 0), 1, {UNIT: (1, 0, 0, 0, 0), (1, 0, 0, 0): (0, 1, 0, 0)})
 
 
 def test_full_table_on_worked_example():
@@ -133,6 +152,29 @@ def test_pd_two_condition():
     assert not pd_two_condition(ideal_of((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
 
 
+def _pd_two_condition_by_pairs(ideal):
+    """Reference: test each candidate against the lcm of every pair of the others."""
+    gens = ideal.gens
+    if len(gens) < 2:
+        return False
+    for cand in gens:
+        others = [g for g in gens if g != cand]
+        if all(divides(cand, lcm(a, b)) for a, b in combinations(others, 2)):
+            return True
+    return False
+
+
+@given(st.one_of(MODEL_OR_STAIRCASE, ideals()))
+def test_pd_two_condition_matches_the_pair_scan(ideal):
+    assert pd_two_condition(ideal) == _pd_two_condition_by_pairs(ideal)
+
+
+def test_pd_two_condition_holds_on_some_model_ideals():
+    # keeps the property above from comparing only False answers
+    verdicts = [pd_two_condition(sample_ideal(random.Random(seed), 8, 4)) for seed in range(200)]
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_pd_two_condition_implies_pd_two_on_fixture():
     table = full_table(SECTION7)
     assert table.betti == (1, 5, 4, 0, 0)
@@ -173,13 +215,6 @@ def test_full_table_is_permutation_invariant(ideal, perm):
 @given(ideals())
 def test_betti3_routes_agree(ideal):
     assert betti3_formula(ideal) == betti3_euler(ideal)
-
-
-# random-model ideals and same-degree staircase antichains of up to 28 generators
-MODEL_OR_STAIRCASE = st.one_of(
-    st.integers(0, 2**32).map(lambda seed: sample_ideal(random.Random(seed), 8, 4)),
-    st.builds(staircase, st.integers(1, 28), st.integers(0, 2**32)),
-)
 
 
 @given(MODEL_OR_STAIRCASE)

@@ -1,9 +1,5 @@
-import os
-import subprocess
-import sys
-
 import pytest
-from conftest import ideal_of, ideals, staircase
+from conftest import ideal_of, ideals, model_or_staircase, run_fresh_interpreter, staircase
 from hypothesis import given, strategies as st
 
 from betti4.errors import InvariantViolation
@@ -12,12 +8,15 @@ from betti4.homology import (
     RATIONALS,
     FieldSpec,
     SimplicialComplex,
+    _interned_complex,
     koszul_complex,
+    multigraded_oracle,
     oracle_betti,
     reduced_homology_rank,
 )
 from betti4.monomials import UNIT, MonomialIdeal, divides
 from betti4.multidegrees import enumerate_multidegrees
+from betti4.tables import BettiTable, projective_dimension
 
 
 def complex_of(*faces):
@@ -132,6 +131,53 @@ def test_koszul_complex_matches_the_shift_definition_on_staircase_lattices(q, se
         assert koszul_complex(ideal, b) == koszul_by_shifts(ideal, b)
 
 
+def test_koszul_complex_interns_equal_face_sets():
+    two = ideal_of((1, 0, 0, 0), (0, 1, 0, 0))
+    first = koszul_complex(two, (1, 1, 0, 0))
+    # another ideal and degree whose complex is the same two points
+    other = ideal_of((0, 0, 1, 0), (0, 3, 0, 0), (2, 0, 0, 0))
+    assert first == TWO_POINTS
+    assert koszul_complex(other, (2, 3, 0, 0)) is first
+    assert koszul_complex(two, (1, 1, 0, 0)) is first
+
+
+def test_interning_never_caches_a_rejected_face_set():
+    size = _interned_complex.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="downward closed"):
+            _interned_complex(1 << 0b0011)  # an edge without its vertices
+    assert _interned_complex.cache_info().currsize == size
+
+
+def oracle_by_points(ideal, field, cap):
+    """Reference: the table summed from multigraded_oracle at every lattice
+    point (the zero ideal's lattice is the unit alone)."""
+    totals = [0] * 5
+    rows = {}
+    for b in enumerate_multidegrees(ideal, cap):
+        row = multigraded_oracle(ideal, b, field)
+        for i, value in enumerate(row):
+            totals[i] += value
+        if any(row):
+            rows[b] = row
+    betti = tuple(totals)
+    return BettiTable(betti, projective_dimension(betti), rows)
+
+
+@given(st.one_of(
+    st.just(MonomialIdeal(())),
+    st.just(MonomialIdeal((UNIT,))),
+    model_or_staircase(),
+))
+def test_oracle_pass_matches_the_per_point_definition(ideal):
+    for field in ALL_FIELDS:
+        reference = oracle_by_points(ideal, field, 40)
+        assert oracle_betti(ideal, field, 40, want_multigraded=True) == reference
+        totals_only = oracle_betti(ideal, field, 40)
+        assert totals_only.betti == reference.betti and totals_only.pd == reference.pd
+        assert totals_only.multigraded is None
+
+
 def test_oracle_on_the_variable_ideal():
     koszul = ideal_of((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     for field in ALL_FIELDS:
@@ -187,8 +233,4 @@ def test_oracle_imports_no_formula_code():
         "import sys, betti4.homology\n"
         "print(sorted(m for m in sys.modules if m in ('betti4.engine', 'betti4.atlas')))"
     )
-    src = os.path.dirname(os.path.dirname(sys.modules["betti4"].__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    assert run_fresh_interpreter(probe).strip() == "[]"

@@ -1,8 +1,11 @@
-"""Checks on the package source itself."""
+"""Checks on the package source itself and on how it runs."""
 
 import ast
 import sys
+import textwrap
 from pathlib import Path
+
+from conftest import run_fresh_interpreter
 
 import betti4
 
@@ -36,3 +39,37 @@ def test_package_imports_only_the_standard_library():
             found += [f"{name}:{node.lineno}: {module}" for module in modules
                       if module.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_invariants_hold_under_python_O():
+    # a fresh interpreter with asserts stripped: every constructor check
+    # must still raise its typed error
+    probe = textwrap.dedent("""
+        import sys
+        from betti4.errors import InvariantViolation
+        from betti4.homology import SimplicialComplex
+        from betti4.monomials import MonomialIdeal
+        from betti4.tables import BettiTable
+
+        cases = {
+            "edge without its vertices": lambda: SimplicialComplex(1 << 0b0011),
+            "pd off the table": lambda: BettiTable((1, 2, 1, 0, 0), pd=3),
+            "six-entry row": lambda: BettiTable((1, 0, 0, 0, 0), 0, {(0, 0, 0, 0): (1, 0, 0, 0, 0, 0)}),
+            "unsorted generators": lambda: MonomialIdeal(((1, 0, 0, 0), (0, 1, 0, 0))),
+        }
+        print(sys.flags.optimize)
+        for name, build in cases.items():
+            try:
+                build()
+            except InvariantViolation:
+                print(name, "raised")
+            else:
+                print(name, "accepted")
+    """)
+    assert run_fresh_interpreter(probe, "-O").splitlines() == [
+        "1",
+        "edge without its vertices raised",
+        "pd off the table raised",
+        "six-entry row raised",
+        "unsorted generators raised",
+    ]
