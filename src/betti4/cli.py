@@ -65,11 +65,11 @@ def _read_inputs(args):
 
 def _cap_flags(parser):
     parser.add_argument(
-        "--max-gens", type=int, default=DEFAULT_GEN_CAP, metavar="N",
+        "--max-gens", type=_int_at_least(0), default=DEFAULT_GEN_CAP, metavar="N",
         help=f"generator cap (default {DEFAULT_GEN_CAP})",
     )
     parser.add_argument(
-        "--max-exp", type=int, default=DEFAULT_EXP_CAP, metavar="N",
+        "--max-exp", type=_int_at_least(0), default=DEFAULT_EXP_CAP, metavar="N",
         help=f"exponent cap (default {DEFAULT_EXP_CAP})",
     )
 

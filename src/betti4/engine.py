@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .atlas import ENTRIES, LABELED_CLASSES
-from .errors import InternalInconsistency, InvariantViolation, NegativeBetti
+from .errors import GeneratorCapExceeded, InternalInconsistency, InvariantViolation, NegativeBetti
 from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
@@ -246,6 +246,9 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     if ideal.is_zero:
         table = (1, 0, 0, 0, 0)
         return BettiTable(table, 0, {UNIT: table} if want_multigraded else None)
+    # checked before the unit shortcut, as oracle_betti does
+    if len(ideal.gens) > cap:
+        raise GeneratorCapExceeded(f"{len(ideal.gens)} generators exceed the cap of {cap}")
     if ideal.is_unit:
         table = (1, 1, 0, 0, 0)
         return BettiTable(table, 1, {UNIT: table} if want_multigraded else None)

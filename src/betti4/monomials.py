@@ -5,7 +5,7 @@ Plain tuples keep the subset walks in the rest of the package cheap.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from operator import lt
 
 from .errors import InvariantViolation
 
@@ -68,14 +68,20 @@ class MonomialIdeal:
     gens: tuple
 
     def __post_init__(self):
-        if list(self.gens) != sorted(set(self.gens)):
+        gens = self.gens
+        # an ideal is a hashable value: an unhashable generator raises TypeError
+        hash(tuple(gens))
+        if not all(map(lt, gens, gens[1:])):
             raise InvariantViolation("generators must be lex-sorted and distinct")
-        for g in self.gens:
+        for g in gens:
             if len(g) != NUM_VARS or min(g) < 0:
                 raise InvariantViolation(f"bad monomial {g!r}")
-        for a, b in combinations(self.gens, 2):
-            if divides(a, b) or divides(b, a):
-                raise InvariantViolation("generating set must be minimal")
+        # in lex order a proper divisor comes first, so only a generator
+        # before b can divide it
+        for j, (b0, b1, b2, b3) in enumerate(gens):
+            for a0, a1, a2, a3 in gens[:j]:
+                if a0 <= b0 and a1 <= b1 and a2 <= b2 and a3 <= b3:
+                    raise InvariantViolation("generating set must be minimal")
 
     @property
     def is_zero(self):
@@ -96,9 +102,19 @@ def minimalize(gens):
     """Reduce a generating set to the unique minimal one, as a sorted tuple.
 
     Drops duplicates and any generator divisible by another generator.
+    In lex order a proper divisor comes before its multiples, and a
+    dropped generator's divisor divides them too, so each monomial is
+    checked against the kept ones only.
     """
-    pool = sorted(set(gens))
-    return tuple(m for m in pool if not any(g != m and divides(g, m) for g in pool))
+    kept = []
+    for m in sorted(set(gens)):
+        m0, m1, m2, m3 = m
+        for g0, g1, g2, g3 in kept:
+            if g0 <= m0 and g1 <= m1 and g2 <= m2 and g3 <= m3:
+                break
+        else:
+            kept.append(m)
+    return tuple(kept)
 
 
 def dominant_members(gens):

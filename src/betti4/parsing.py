@@ -7,122 +7,114 @@ bare ``1`` denotes the unit monomial.  Repeated variables multiply, so
 ``x1*x1`` means ``x1^2``.
 """
 
+import re
+
 from .errors import ExponentCapExceeded, ParseError, VariableOutOfRange
 from .monomials import NUM_VARS, MonomialIdeal, minimalize
 
 DEFAULT_EXP_CAP = 64
 
-_ALIASES = {"a": 1, "b": 2, "c": 3, "d": 4}
+_INDEX = {"x1": 0, "x2": 1, "x3": 2, "x4": 3, "a": 0, "b": 1, "c": 2, "d": 3}
 
-# str.isdigit also accepts other scripts' digits and superscripts, which
-# int() then reads as numbers or rejects with ValueError.
-_DIGITS = frozenset("0123456789")
+# One factor and the separator after it.  Only a variable takes an
+# exponent, so after "1^2" the separator is missing at the caret.
+# Numbers are [0-9]: \d and str.isdigit also accept other scripts'
+# digits and superscripts, which int() then reads or rejects.  \s
+# matches exactly the characters str.isspace accepts.
+_FACTOR = re.compile(r"""
+    \s*
+    (?: (?P<name> x[0-9]* | [a-d] ) (?: \s* \^ \s* (?P<exp> [0-9]* ) )?
+      | (?P<unit> 1 ) (?! [0-9] )
+    )?
+    (?P<tail> \s* )
+    (?P<sep> [*,] | \Z )?
+""", re.VERBOSE)
 
 
 def _excerpt(digits, keep=12):
     return digits if len(digits) <= keep else digits[:keep] + "..."
 
 
-def _parse_monomial(chunk, base, max_exp):
-    """One generator.  base is the chunk's offset inside the full input,
-    so every error position refers to the original text."""
-    exps = [0] * NUM_VARS
-    cap_digits = len(str(max_exp))
-    i = 0
-    n = len(chunk)
+def _blank_comments(text):
+    # blank comments out rather than deleting them, so error positions
+    # keep pointing into the caller's original text
+    out = []
+    for line in text.splitlines(keepends=True):
+        cut = line.find("#")
+        out.append(line if cut < 0 else line[:cut] + " " * (len(line) - cut))
+    return "".join(out)
 
-    def skip_ws(i):
-        while i < n and chunk[i].isspace():
-            i += 1
-        return i
 
-    def read_digits(i):
-        start = i
-        while i < n and chunk[i] in _DIGITS:
-            i += 1
-        if i == start:
-            raise ParseError("expected a number", base + start)
-        return chunk[start:i], i
+def _missing_factor(text, at, pos):
+    """The error at offset at, where the factor that the separator
+    before pos (or the start of the text) promised does not begin."""
+    if at < len(text) and text[at] != ",":
+        return ParseError(f"unexpected character {text[at]!r}", at)
+    if pos and text[pos - 1] == "*":
+        return ParseError("dangling '*'", at)
+    return ParseError("empty generator", at)
 
-    expect_factor = True
-    saw_factor = False
-    while True:
-        i = skip_ws(i)
-        if i >= n:
-            break
-        ch = chunk[i]
-        if not expect_factor:
-            if ch != "*":
-                raise ParseError(f"expected '*' before {ch!r}", base + i)
-            i += 1
-            expect_factor = True
-            continue
-        if ch == "1" and (i + 1 >= n or chunk[i + 1] not in _DIGITS):
-            # the unit monomial as a factor; legal but contributes nothing
-            i += 1
-            expect_factor = False
-            saw_factor = True
-            continue
-        if ch == "x":
-            digits, j = read_digits(i + 1)
-            if len(digits) > 1 or not 1 <= int(digits) <= NUM_VARS:
-                raise VariableOutOfRange(
-                    f"variable x{_excerpt(digits)} is outside x1..x{NUM_VARS}", base + i
-                )
-            var = int(digits)
-            i = j
-        elif ch in _ALIASES:
-            var = _ALIASES[ch]
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", base + i)
-        exp = 1
-        i = skip_ws(i)
-        if i < n and chunk[i] == "^":
-            at = i
-            i = skip_ws(i + 1)
-            digits, i = read_digits(i)
-            digits = digits.lstrip("0")
-            if not digits:
-                raise ParseError("exponent must be positive", base + at + 1)
-            # a longer digit string exceeds the cap; checked before int(),
-            # which refuses strings past the interpreter's digit limit
-            if len(digits) > cap_digits:
-                raise ExponentCapExceeded(
-                    f"exponent {_excerpt(digits)} exceeds the cap of {max_exp}", base + i - 1
-                )
-            exp = int(digits)
-        exps[var - 1] += exp
-        if exps[var - 1] > max_exp:
-            raise ExponentCapExceeded(
-                f"exponent {exps[var - 1]} exceeds the cap of {max_exp}", base + i - 1
-            )
-        expect_factor = False
-        saw_factor = True
-    if expect_factor:
-        if saw_factor:
-            raise ParseError("dangling '*'", base + n)
-        raise ParseError("empty generator", base + skip_ws(0))
-    return tuple(exps)
+
+def _bad_exponent(text, m, max_exp):
+    if not m["exp"]:
+        return ParseError("expected a number", m.start("exp"))
+    digits = m["exp"].lstrip("0")
+    if not digits:
+        return ParseError("exponent must be positive", text.rindex("^", 0, m.start("exp")) + 1)
+    # a longer digit string exceeds the cap; checked before int(), which
+    # refuses strings past the interpreter's digit limit
+    return ExponentCapExceeded(
+        f"exponent {_excerpt(digits)} exceeds the cap of {max_exp}", m.end("exp") - 1
+    )
 
 
 def parse_ideal(text, max_exp=DEFAULT_EXP_CAP):
     """Parse a generator list into a MonomialIdeal, minimalizing as needed.
 
     An input that is only whitespace or comments denotes the zero ideal.
+    Every error position is an offset into text.
     """
-    stripped = []
-    for line in text.splitlines(keepends=True) or [""]:
-        cut = line.find("#")
-        # blank comments out rather than deleting them, so error
-        # positions keep pointing into the caller's original text
-        stripped.append(line if cut < 0 else line[:cut] + " " * (len(line) - cut))
-    clean = "".join(stripped)
-    if not clean.strip():
+    if "#" in text:
+        text = _blank_comments(text)
+    if not text or text.isspace():
         return MonomialIdeal(())
+    cap_digits = len(str(max_exp))
+    match = _FACTOR.match
     gens = []
-    base = 0
-    for chunk in clean.split(","):
-        gens.append(_parse_monomial(chunk, base, max_exp))
-        base += len(chunk) + 1
-    return MonomialIdeal(minimalize(gens))
+    exps = [0] * NUM_VARS
+    pos = 0
+    while True:
+        m = match(text, pos)
+        name, exp, unit, _, sep = m.groups()
+        if name is not None:
+            k = _INDEX.get(name)
+            if k is None:
+                if name == "x":
+                    raise ParseError("expected a number", m.start("name") + 1)
+                raise VariableOutOfRange(
+                    f"variable x{_excerpt(name[1:])} is outside x1..x{NUM_VARS}", m.start("name")
+                )
+            if exp is None:
+                exps[k] += 1
+            else:
+                digits = exp.lstrip("0")
+                if not digits or len(digits) > cap_digits:
+                    raise _bad_exponent(text, m, max_exp)
+                exps[k] += int(digits)
+            if exps[k] > max_exp:
+                # the last digit of the exponent, or the last character
+                # before the separator when there is none
+                at = m.end("tail" if exp is None else "exp") - 1
+                raise ExponentCapExceeded(f"exponent {exps[k]} exceeds the cap of {max_exp}", at)
+        elif unit is None:
+            raise _missing_factor(text, m.start("tail"), pos)
+        if sep == "*":
+            pos = m.end()
+            continue
+        if sep is None:
+            raise ParseError(f"expected '*' before {text[m.end()]!r}", m.end())
+        gens.append(tuple(exps))
+        if not sep:
+            return MonomialIdeal(minimalize(gens))
+        exps = [0] * NUM_VARS
+        pos = m.end()

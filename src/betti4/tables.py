@@ -14,7 +14,8 @@ class BettiTable:
     """Betti numbers of S/M in homological degrees 0..4.
 
     The optional multigraded map sends a multidegree to its 5-tuple of
-    graded Betti numbers; its columns must sum to the totals.
+    graded Betti numbers, none negative; its columns must sum to the
+    totals.
     """
 
     betti: tuple
@@ -30,11 +31,14 @@ class BettiTable:
             # a row of another length leaves a column sum short or extra,
             # or makes the strict zip raise
             try:
-                sums = tuple(map(sum, zip(*self.multigraded.values(), strict=True)))
+                columns = list(zip(*self.multigraded.values(), strict=True))
             except ValueError:
-                sums = None
-            if sums != self.betti:
-                raise InvariantViolation("multigraded rows must be 5-tuples that sum to the totals")
+                columns = None
+            if (columns is None or tuple(map(sum, columns)) != self.betti
+                    or min(map(min, columns)) < 0):
+                raise InvariantViolation(
+                    "multigraded rows must be 5-tuples of non-negative entries that sum to the totals"
+                )
 
     @property
     def euler(self):

@@ -86,6 +86,36 @@ def test_generator_cap_flag(capsys):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_generator_cap_covers_the_unit_ideal(capsys, command):
+    # betti and verify refuse the same inputs
+    code, out, err = run(capsys, command, "--max-gens", "0", "1")
+    assert code == 2 and out == ""
+    assert "1 generators exceed the cap of 0" in err
+    code, _, _ = run(capsys, command, "--max-gens", "1", "1")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_zero_exponent_cap_admits_only_the_unit(capsys, command):
+    code, _, _ = run(capsys, command, "--max-exp", "0", "1")
+    assert code == 0
+    code, _, err = run(capsys, command, "--max-exp", "0", "x1")
+    assert code == 2 and "exponent 1 exceeds the cap of 0" in err
+
+
+@pytest.mark.parametrize("command", ["betti", "verify"])
+@pytest.mark.parametrize("flag", ["--max-gens", "--max-exp"])
+def test_negative_caps_are_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, flag, "-1", "x1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least 0, got -1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_agreement(capsys):
     code, out, err = run(
         capsys, "verify",

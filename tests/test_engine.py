@@ -78,6 +78,12 @@ def test_short_multigraded_row_is_rejected():
         BettiTable((1, 1, 0, 0, 0), 1, {UNIT: (1, 0, 0, 0, 0), (1, 0, 0, 0): (0, 1, 0, 0)})
 
 
+def test_negative_multigraded_entry_is_rejected():
+    # the -1 cancels the extra 1 in the column sum
+    with pytest.raises(InvariantViolation, match="non-negative"):
+        BettiTable((1, 0, 0, 0, 0), 0, {UNIT: (1, 1, 0, 0, 0), (1, 0, 0, 0): (0, -1, 0, 0, 0)})
+
+
 def test_full_table_on_worked_example():
     table = full_table(COMPUTATIONS, want_multigraded=True)
     assert table.betti == (1, 4, 3, 0, 0)
@@ -140,6 +146,16 @@ def test_generator_cap():
     with pytest.raises(GeneratorCapExceeded):
         full_table(ideal)
     assert full_table(ideal, cap=21).betti[1] == 21
+
+
+def test_generator_cap_applies_to_the_unit_ideal():
+    # the formula route and the oracle refuse the same ideals
+    unit = MonomialIdeal((UNIT,))
+    for compute in (full_table, oracle_betti):
+        with pytest.raises(GeneratorCapExceeded):
+            compute(unit, cap=0)
+        assert compute(unit, cap=1).betti == (1, 1, 0, 0, 0)
+        assert compute(MonomialIdeal(()), cap=0).betti == (1, 0, 0, 0, 0)
 
 
 def test_pd_two_condition():

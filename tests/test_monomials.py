@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import pytest
 from conftest import ideal_of, ideals, monomials, permutations_of_4
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from betti4.errors import InvariantViolation
 from betti4.monomials import (
+    NUM_VARS,
     UNIT,
     MonomialIdeal,
     divides,
@@ -78,9 +81,68 @@ def test_minimalize_idempotent(ideal):
     assert minimalize(ideal.gens) == ideal.gens
 
 
+def _minimalize_pairwise(gens):
+    """Reference: keep each distinct generator that no other one divides."""
+    pool = sorted(set(gens))
+    return tuple(m for m in pool if not any(g != m and divides(g, m) for g in pool))
+
+
+def _ideal_check_pairwise(gens):
+    """Reference: the message MonomialIdeal(gens) raises, None if it accepts."""
+    if list(gens) != sorted(set(gens)):
+        return "generators must be lex-sorted and distinct"
+    for g in gens:
+        if len(g) != NUM_VARS or min(g) < 0:
+            return f"bad monomial {g!r}"
+    for a, b in combinations(gens, 2):
+        if divides(a, b) or divides(b, a):
+            return "generating set must be minimal"
+    return None
+
+
+# small exponents, so that duplicates and divisible pairs are common
+_SMALL = st.integers(0, 2)
+_SMALL_MONOMIALS = st.tuples(_SMALL, _SMALL, _SMALL, _SMALL)
+
+
+@given(st.lists(_SMALL_MONOMIALS, max_size=10))
+def test_minimalize_matches_the_pairwise_scan(gens):
+    assert minimalize(gens) == _minimalize_pairwise(gens)
+
+
+@st.composite
+def _candidate_gens(draw):
+    """Small monomials with duplicates and divisible pairs, now and then
+    with a negative exponent or a 3-tuple among them; as drawn, sorted
+    and distinct (which reaches the minimality check), or minimalized."""
+    gens = draw(st.lists(_SMALL_MONOMIALS, max_size=8))
+    if draw(st.booleans()):
+        odd = st.tuples(st.integers(-1, 2), _SMALL, _SMALL, _SMALL) | st.tuples(_SMALL, _SMALL, _SMALL)
+        gens.insert(draw(st.integers(0, len(gens))), draw(odd))
+    four = [g for g in gens if len(g) == NUM_VARS]
+    return tuple(draw(st.sampled_from([gens, sorted(set(gens)), list(_minimalize_pairwise(four))])))
+
+
+@given(_candidate_gens())
+# the only divisible pair is not adjacent
+@example(((0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1)))
+def test_ideal_check_matches_the_pairwise_scan(gens):
+    try:
+        MonomialIdeal(gens)
+        verdict = None
+    except InvariantViolation as exc:
+        verdict = str(exc)
+    assert verdict == _ideal_check_pairwise(gens)
+
+
 def test_ideal_rejects_redundant_generators():
     with pytest.raises(InvariantViolation, match="minimal"):
         MonomialIdeal(((1, 0, 0, 0), (2, 0, 0, 0)))
+
+
+def test_ideal_rejects_unhashable_generators():
+    with pytest.raises(TypeError):
+        MonomialIdeal(([1, 0, 0, 0],))
 
 
 def test_zero_and_unit_flags():

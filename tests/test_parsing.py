@@ -1,10 +1,123 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from betti4.cli import format_ideal
 from betti4.errors import ExponentCapExceeded, ParseError, VariableOutOfRange
-from betti4.monomials import MonomialIdeal, minimalize
+from betti4.monomials import NUM_VARS, MonomialIdeal, minimalize
 from betti4.parsing import DEFAULT_EXP_CAP, parse_ideal
+
+_DIGITS = frozenset("0123456789")
+_ALIASES = {"a": 1, "b": 2, "c": 3, "d": 4}
+
+
+def _excerpt(digits, keep=12):
+    return digits if len(digits) <= keep else digits[:keep] + "..."
+
+
+def _parse_monomial_by_chars(chunk, base, max_exp):
+    """One generator, scanned a character at a time; base is the chunk's
+    offset inside the full input."""
+    exps = [0] * NUM_VARS
+    cap_digits = len(str(max_exp))
+    i = 0
+    n = len(chunk)
+
+    def skip_ws(i):
+        while i < n and chunk[i].isspace():
+            i += 1
+        return i
+
+    def read_digits(i):
+        start = i
+        while i < n and chunk[i] in _DIGITS:
+            i += 1
+        if i == start:
+            raise ParseError("expected a number", base + start)
+        return chunk[start:i], i
+
+    expect_factor = True
+    saw_factor = False
+    while True:
+        i = skip_ws(i)
+        if i >= n:
+            break
+        ch = chunk[i]
+        if not expect_factor:
+            if ch != "*":
+                raise ParseError(f"expected '*' before {ch!r}", base + i)
+            i += 1
+            expect_factor = True
+            continue
+        if ch == "1" and (i + 1 >= n or chunk[i + 1] not in _DIGITS):
+            i += 1
+            expect_factor = False
+            saw_factor = True
+            continue
+        if ch == "x":
+            digits, j = read_digits(i + 1)
+            if len(digits) > 1 or not 1 <= int(digits) <= NUM_VARS:
+                raise VariableOutOfRange(
+                    f"variable x{_excerpt(digits)} is outside x1..x{NUM_VARS}", base + i
+                )
+            var = int(digits)
+            i = j
+        elif ch in _ALIASES:
+            var = _ALIASES[ch]
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", base + i)
+        exp = 1
+        i = skip_ws(i)
+        if i < n and chunk[i] == "^":
+            at = i
+            i = skip_ws(i + 1)
+            digits, i = read_digits(i)
+            digits = digits.lstrip("0")
+            if not digits:
+                raise ParseError("exponent must be positive", base + at + 1)
+            if len(digits) > cap_digits:
+                raise ExponentCapExceeded(
+                    f"exponent {_excerpt(digits)} exceeds the cap of {max_exp}", base + i - 1
+                )
+            exp = int(digits)
+        exps[var - 1] += exp
+        if exps[var - 1] > max_exp:
+            raise ExponentCapExceeded(
+                f"exponent {exps[var - 1]} exceeds the cap of {max_exp}", base + i - 1
+            )
+        expect_factor = False
+        saw_factor = True
+    if expect_factor:
+        if saw_factor:
+            raise ParseError("dangling '*'", base + n)
+        raise ParseError("empty generator", base + skip_ws(0))
+    return tuple(exps)
+
+
+def _parse_ideal_by_chars(text, max_exp=DEFAULT_EXP_CAP):
+    """The reference reader: comments blanked line by line, the text split
+    at commas, and each generator scanned a character at a time."""
+    stripped = []
+    for line in text.splitlines(keepends=True) or [""]:
+        cut = line.find("#")
+        stripped.append(line if cut < 0 else line[:cut] + " " * (len(line) - cut))
+    clean = "".join(stripped)
+    if not clean.strip():
+        return MonomialIdeal(())
+    gens = []
+    base = 0
+    for chunk in clean.split(","):
+        gens.append(_parse_monomial_by_chars(chunk, base, max_exp))
+        base += len(chunk) + 1
+    return MonomialIdeal(minimalize(gens))
+
+
+def _outcome(parse, text, cap):
+    """The ideal parse reads, or the class, message and position of its error."""
+    try:
+        return parse(text, cap)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
 
 
 def test_worked_example_string():
@@ -107,6 +220,41 @@ def test_parse_ideal_raises_only_parse_errors(text):
         parse_ideal(text)
     except ParseError:
         pass
+
+
+# Unicode spaces, a next-line character that also ends a line, a unit
+# with an exponent and an exponent with a leading zero
+_EXTRA_TOKENS = ["\u00a0", "\u3000", "\x85", "1^2", "x1^065"]
+
+
+@settings(max_examples=500)
+@given(st.text() | st.lists(st.sampled_from(_TOKENS + _EXTRA_TOKENS)).map("".join),
+       st.sampled_from([1, 8, 64, 99, 1000]))
+def test_parse_ideal_matches_the_character_scanner(text, cap):
+    # same ideal, or the same error class, message and position
+    assert _outcome(parse_ideal, text, cap) == _outcome(_parse_ideal_by_chars, text, cap)
+
+
+@pytest.mark.parametrize("text, cap, error, message, position", [
+    # a 1 followed by a digit is not the unit, and the unit takes no exponent
+    ("12", 8, ParseError, "unexpected character '1'", 0),
+    ("1^2", 8, ParseError, "expected '*' before '^'", 1),
+    # an overflowing sum is reported at the exponent's last digit, or at
+    # the last character before the separator when there is no exponent
+    ("x1^5*x1^4, x2", 8, ExponentCapExceeded, "exponent 9 exceeds the cap of 8", 8),
+    ("x1*x1  *x2", 1, ExponentCapExceeded, "exponent 2 exceeds the cap of 1", 6),
+    ("x1^ 00, x2", 8, ParseError, "exponent must be positive", 3),
+    ("x1^100, x2", 8, ExponentCapExceeded, "exponent 100 exceeds the cap of 8", 5),
+    ("x1, # note\n ,x2", 8, ParseError, "empty generator", 12),
+    ("x1 *  , x2", 8, ParseError, "dangling '*'", 6),
+    ("x1 x\u0661", 8, ParseError, "expected '*' before 'x'", 3),
+])
+def test_error_class_message_and_position(text, cap, error, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_ideal(text, cap)
+    assert type(info.value) is error
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
 
 
 def test_parse_error_carries_position():

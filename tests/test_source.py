@@ -41,6 +41,20 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
+def test_numbers_are_ascii_digits_only():
+    # \d and str.isdigit (like isdecimal and isnumeric) also accept other
+    # scripts' digits and superscripts, which int() then reads or rejects
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\\d" in node.value:
+                found.append(f"{name}:{node.lineno}: \\d in a string")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("isdigit", "isdecimal", "isnumeric")):
+                found.append(f"{name}:{node.lineno}: .{node.func.attr}()")
+    assert found == []
+
+
 def test_invariants_hold_under_python_O():
     # a fresh interpreter with asserts stripped: every constructor check
     # must still raise its typed error
@@ -55,6 +69,8 @@ def test_invariants_hold_under_python_O():
             "edge without its vertices": lambda: SimplicialComplex(1 << 0b0011),
             "pd off the table": lambda: BettiTable((1, 2, 1, 0, 0), pd=3),
             "six-entry row": lambda: BettiTable((1, 0, 0, 0, 0), 0, {(0, 0, 0, 0): (1, 0, 0, 0, 0, 0)}),
+            "negative row entry": lambda: BettiTable(
+                (1, 0, 0, 0, 0), 0, {(0, 0, 0, 0): (1, 1, 0, 0, 0), (1, 0, 0, 0): (0, -1, 0, 0, 0)}),
             "unsorted generators": lambda: MonomialIdeal(((1, 0, 0, 0), (0, 1, 0, 0))),
         }
         print(sys.flags.optimize)
@@ -71,5 +87,6 @@ def test_invariants_hold_under_python_O():
         "edge without its vertices raised",
         "pd off the table raised",
         "six-entry row raised",
+        "negative row entry raised",
         "unsorted generators raised",
     ]
