@@ -106,21 +106,8 @@ class CanonicalForm:
     canonical_gens: tuple
 
 
-def _least_form(gens):
-    """Lexicographically least sorted mask tuple over all 24 relabelings."""
-    best = None
-    best_perm = None
-    for perm in _PERMS:
-        cand = tuple(sorted(permute_mask(g, perm) for g in gens))
-        if best is None or cand < best:
-            best = cand
-            best_perm = perm
-    return best, best_perm
-
-
 def _load():
     entries = {}
-    index = {}
     labeled = {}
     for cid, gen_strings, y_string, b2, b3 in _TABLE:
         gens = tuple(sorted(parse_mask(s) for s in gen_strings))
@@ -136,26 +123,36 @@ def _load():
         if cid in entries:
             raise InternalInconsistency(f"entry {cid} is listed twice")
         entries[cid] = entry
-        forms = {tuple(sorted(permute_mask(g, perm) for g in gens)) for perm in _PERMS}
-        for form in forms:
-            labeled.setdefault(form, cid)
-        prior = index.setdefault(min(forms), cid)
-        if prior != cid:
-            # relabeling-equivalent entries must carry identical rows for
-            # smallest-id lookup to be sound
-            other = entries[prior]
+        known = labeled.get(gens)
+        if known is not None:
+            # a relabeling of an earlier entry, whose orbit is indexed
+            # already; the rows must agree for smallest-id lookup to be sound
+            other = entries[known.class_id]
             if (other.beta2, other.beta3) != (b2, b3):
-                raise InternalInconsistency(f"entries {prior} and {cid} disagree")
+                raise InternalInconsistency(f"entries {known.class_id} and {cid} disagree")
+            continue
+        images = [tuple(sorted(permute_mask(g, perm) for g in gens)) for perm in _PERMS]
+        least = min(images)
+        witnesses = [q for q, image in zip(_PERMS, images) if image == least]
+        for p, image in zip(_PERMS, images):
+            if image not in labeled:
+                # relabeling image by r gives least iff r = p^-1 . q for a
+                # witness q, where (p^-1 . q)[i] = p.index(q[i]); the least
+                # tuple is the first such r in permutations() order
+                witness = min(tuple(map(p.index, q)) for q in witnesses)
+                labeled[image] = CanonicalForm(cid, witness, least)
     if len(entries) != 66:
         raise InternalInconsistency(f"{len(entries)} atlas entries, expected 66")
     if len({e.gens for e in entries.values()}) != 66:
         raise InternalInconsistency("labeled generator sets must be distinct")
-    return entries, index, labeled
+    return entries, labeled
 
 
 # LABELED_CLASSES maps every relabeling of every entry, as a sorted mask
-# tuple, to the smallest class id of its orbit, the id canonicalize reports.
-ENTRIES, _CANONICAL_INDEX, LABELED_CLASSES = _load()
+# tuple, to its CanonicalForm: the smallest class id of its orbit, the
+# first permutation (in permutations() order) that carries the tuple to
+# the orbit's lexicographically least form, and that form.
+ENTRIES, LABELED_CLASSES = _load()
 
 
 def atlas_entries():
@@ -164,19 +161,18 @@ def atlas_entries():
 
 
 def canonicalize(ideal):
-    """Match a squarefree ideal to its class by brute-force relabeling.
+    """Match a squarefree ideal to its class: one read of LABELED_CLASSES.
 
-    Searches all 24 variable permutations for the lexicographically
-    least sorted generator tuple and looks that form up.  Entries that
-    are relabelings of each other share a form; the smallest id wins.
+    The result names the smallest class id of the orbit, the first
+    relabeling that carries the generators to the orbit's least sorted
+    mask tuple, and that tuple.
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no atlas class")
-    form, perm = _least_form(ideal.gens)
-    class_id = _CANONICAL_INDEX.get(form)
-    if class_id is None:
+    form = LABELED_CLASSES.get(ideal.gens)
+    if form is None:
         raise NotInAtlas(f"no class matches generators {[mask_string(g) for g in ideal.gens]}")
-    return CanonicalForm(class_id, perm, form)
+    return form
 
 
 def lookup_multigraded(ideal, y_m):

@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import random
+import re
 import sys
 
 from .atlas import atlas_entries, atlas_records
@@ -65,11 +66,11 @@ def _read_inputs(args):
 
 def _cap_flags(parser):
     parser.add_argument(
-        "--max-gens", type=_int_at_least(0), default=DEFAULT_GEN_CAP, metavar="N",
+        "--max-gens", type=_ascii_int(0), default=DEFAULT_GEN_CAP, metavar="N",
         help=f"generator cap (default {DEFAULT_GEN_CAP})",
     )
     parser.add_argument(
-        "--max-exp", type=_int_at_least(0), default=DEFAULT_EXP_CAP, metavar="N",
+        "--max-exp", type=_ascii_int(0), default=DEFAULT_EXP_CAP, metavar="N",
         help=f"exponent cap (default {DEFAULT_EXP_CAP})",
     )
 
@@ -226,11 +227,16 @@ def cmd_experiment(args):
     return 0
 
 
-def _int_at_least(low):
-    """argparse type: an int no smaller than low."""
+def _ascii_int(low=None):
+    """argparse type: an optional sign and ASCII digits, at least low if given.
+
+    int() alone also reads other scripts' digits, underscores and spaces.
+    """
     def parse(text):
+        if not re.fullmatch("[+-]?[0-9]+", text):
+            raise ValueError(text)
         value = int(text)
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
@@ -266,15 +272,15 @@ def build_parser():
     p.set_defaults(run=cmd_atlas)
 
     p = sub.add_parser("experiment", help="random-ideal statistics as CSV")
-    p.add_argument("--samples", type=_int_at_least(0), default=100, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.add_argument("--samples", type=_ascii_int(0), default=100, metavar="N")
+    p.add_argument("--seed", type=_ascii_int(), default=0, metavar="N")
     p.add_argument(
-        "--max-gens", type=_int_at_least(1), default=8, metavar="N",
+        "--max-gens", type=_ascii_int(1), default=8, metavar="N",
         help="generator count upper bound for the random model (default 8)",
     )
     # with max_exp 0 every sampled monomial would be 1, which sample_ideal resamples forever
     p.add_argument(
-        "--max-exp", type=_int_at_least(1), default=4, metavar="N",
+        "--max-exp", type=_ascii_int(1), default=4, metavar="N",
         help="exponent upper bound for the random model (default 4)",
     )
     p.set_defaults(run=cmd_experiment)

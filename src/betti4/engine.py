@@ -15,11 +15,11 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .atlas import ENTRIES, LABELED_CLASSES
-from .errors import GeneratorCapExceeded, InternalInconsistency, InvariantViolation, NegativeBetti
+from .errors import InternalInconsistency, InvariantViolation, NegativeBetti
 from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
-from .tables import BettiTable, projective_dimension
+from .tables import BettiTable
 
 
 @dataclass(frozen=True)
@@ -144,18 +144,18 @@ def _build_key_table(classes, entries):
     """Map each upward-closed family of masks to (support, beta2, beta3).
 
     classes maps labeled squarefree antichains (sorted mask tuples) to
-    atlas class ids and entries maps ids to atlas entries.  Each row is
-    taken from the shape weights and must equal the row of the atlas
-    class; the empty family (no generator divides m) has the zero row.
+    canonical forms and entries maps class ids to atlas entries.  Each
+    row is taken from the shape weights and must equal the row of the
+    atlas class; the empty family (no generator divides m) has the zero row.
     """
     table = {0: (0, 0, 0)}
-    for gens, class_id in classes.items():
+    for gens, form in classes.items():
         sq = SquarefreeIdeal(gens)
         weights = _shape_weights(sq)
-        entry = entries[class_id]
+        entry = entries[form.class_id]
         if weights != (entry.beta2, entry.beta3):
             raise InternalInconsistency(
-                f"shape weights give {weights} but atlas class {class_id} gives "
+                f"shape weights give {weights} but atlas class {form.class_id} gives "
                 f"({entry.beta2}, {entry.beta3}) for {[mask_string(g) for g in gens]}"
             )
         table[upward_closure(gens)] = (sq.support, *weights)
@@ -237,25 +237,20 @@ def betti3_euler(ideal, cap=DEFAULT_GEN_CAP):
 def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     """Assemble beta0..beta4, computing beta3 two redundant ways.
 
-    The conventional tables for the zero ideal and the unit ideal are
-    (1,0,0,0,0) and (1,1,0,0,0).  beta2 and beta3 are sums of key-table
-    rows; beta3 is checked against the Euler relation with beta4 from
-    the dominant quadruples.  The optional multigraded map holds the
-    nonzero rows by multidegree.
+    beta2 and beta3 are sums of key-table rows; beta3 is checked against
+    the Euler relation with beta4 from the dominant quadruples.  The
+    optional multigraded map holds the nonzero rows by multidegree.  The
+    zero ideal, which gives the Euler relation no generator, takes the
+    conventional table (1,0,0,0,0) once the walk has checked the cap.
     """
+    degrees = enumerate_multidegrees(ideal, cap)
     if ideal.is_zero:
         table = (1, 0, 0, 0, 0)
-        return BettiTable(table, 0, {UNIT: table} if want_multigraded else None)
-    # checked before the unit shortcut, as oracle_betti does
-    if len(ideal.gens) > cap:
-        raise GeneratorCapExceeded(f"{len(ideal.gens)} generators exceed the cap of {cap}")
-    if ideal.is_unit:
-        table = (1, 1, 0, 0, 0)
-        return BettiTable(table, 1, {UNIT: table} if want_multigraded else None)
+        return BettiTable(table, {UNIT: table} if want_multigraded else None)
 
     b2 = b3_direct = 0
     rows = {} if want_multigraded else None
-    for m, w2, w3 in key_rows(ideal.gens, enumerate_multidegrees(ideal, cap)):
+    for m, w2, w3 in key_rows(ideal.gens, degrees):
         b2 += w2
         b3_direct += w3
         if rows is not None:
@@ -279,7 +274,7 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
         for degree in quadruples.lcms:
             rows.setdefault(degree, [0] * 5)[4] = 1
         rows = {m: tuple(row) for m, row in sorted(rows.items())}
-    return BettiTable(betti, projective_dimension(betti), rows)
+    return BettiTable(betti, rows)
 
 
 def pd_two_condition(ideal):

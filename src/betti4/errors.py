@@ -6,7 +6,8 @@ class Betti4Error(Exception):
 
 
 class GeneratorCapExceeded(Betti4Error):
-    """An ideal has too many generators for the 2^q subset walk."""
+    """More generators than the cap; raised only by enumerate_multidegrees,
+    the lattice walk that the formula route and the oracle both run first."""
 
 
 class RestrictionViolation(Betti4Error):

@@ -11,10 +11,10 @@ usable as an oracle for all of them.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import GeneratorCapExceeded, InternalInconsistency, InvariantViolation
+from .errors import InternalInconsistency, InvariantViolation
 from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
-from .tables import BettiTable, projective_dimension
+from .tables import BettiTable
 
 SUPPORTED_CHARACTERISTICS = (0, 2, 3, 5)
 
@@ -188,12 +188,9 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
     Each lattice point reads its row straight from the cached homology
     profile, as multigraded_oracle does; only the unit and the points
     with nonzero homology keep a row, and the totals are the column sums.
+    The zero and unit ideals need no branch: their lattice is the unit
+    alone, whose complex gives (1,0,0,0,0) and (1,1,0,0,0).
     """
-    if ideal.is_zero:
-        table = (1, 0, 0, 0, 0)
-        return BettiTable(table, 0, {UNIT: table} if want_multigraded else None)
-    if len(ideal.gens) > cap:
-        raise GeneratorCapExceeded(f"{len(ideal.gens)} generators exceed the cap of {cap}")
     char = field.characteristic
     rows = {}
     for b in enumerate_multidegrees(ideal, cap):
@@ -203,4 +200,4 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
         elif h != _ACYCLIC:
             rows[b] = (0, h[0], h[1], h[2], h[3])
     betti = tuple(map(sum, zip(*rows.values())))
-    return BettiTable(betti, projective_dimension(betti), rows if want_multigraded else None)
+    return BettiTable(betti, rows if want_multigraded else None)

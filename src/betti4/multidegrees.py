@@ -12,7 +12,8 @@ def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
     The set is grown one generator at a time (new subsets containing g
     are lcms of old subsets with g), so memory tracks the number of
     distinct lcms rather than 2^q; the cap still guards the worst case.
-    The empty subset contributes the constant monomial.
+    The empty subset contributes the constant monomial.  Both routes walk
+    first, so this one cap check makes them refuse the same ideals.
     """
     q = len(ideal.gens)
     if q > cap:

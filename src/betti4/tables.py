@@ -15,18 +15,15 @@ class BettiTable:
 
     The optional multigraded map sends a multidegree to its 5-tuple of
     graded Betti numbers, none negative; its columns must sum to the
-    totals.
+    totals.  The projective dimension is read off the totals.
     """
 
     betti: tuple
-    pd: int
     multigraded: dict | None = None
 
     def __post_init__(self):
         if len(self.betti) != 5 or min(self.betti) < 0:
             raise InvariantViolation(f"bad Betti numbers {self.betti!r}")
-        if self.pd != projective_dimension(self.betti):
-            raise InvariantViolation(f"pd {self.pd} does not match {self.betti!r}")
         if self.multigraded is not None:
             # a row of another length leaves a column sum short or extra,
             # or makes the strict zip raise
@@ -41,6 +38,15 @@ class BettiTable:
                 )
 
     @property
+    def pd(self):
+        """Projective dimension: the largest degree with a nonzero Betti number."""
+        b = self.betti
+        for i in range(4, 0, -1):
+            if b[i]:
+                return i
+        return 0
+
+    @property
     def euler(self):
         """Alternating sum beta0 - beta1 + beta2 - beta3 + beta4."""
         b = self.betti
@@ -50,10 +56,3 @@ class BettiTable:
     def total(self):
         return sum(self.betti)
 
-
-def projective_dimension(betti):
-    """Largest homological degree with a nonzero Betti number."""
-    for i in range(len(betti) - 1, 0, -1):
-        if betti[i]:
-            return i
-    return 0

@@ -1,10 +1,12 @@
 """The embedded 66-class table and its canonicalization map."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from betti4 import atlas
-from betti4.atlas import atlas_entries, atlas_records, canonicalize, lookup_multigraded
+from betti4.atlas import LABELED_CLASSES, atlas_entries, atlas_records, canonicalize, lookup_multigraded
 from betti4.errors import InternalInconsistency
 from betti4.squarefree import SquarefreeIdeal, parse_mask, permute_mask
 
@@ -18,6 +20,32 @@ def sq(*bit_strings):
 def entry(class_id):
     table = {e.id: e for e in atlas_entries()}
     return table[class_id]
+
+
+def least_form(gens):
+    """Reference: the lexicographically least sorted mask tuple over all 24
+    relabelings, with the first permutation that attains it."""
+    best = best_perm = None
+    for perm in permutations(range(4)):
+        cand = tuple(sorted(permute_mask(g, perm) for g in gens))
+        if best is None or cand < best:
+            best, best_perm = cand, perm
+    return best, best_perm
+
+
+def test_canonicalize_matches_the_brute_force_search():
+    # every antichain under every relabeling: the class is the smallest
+    # id whose entry shares the least form, and the reported permutation
+    # is the first one that reaches it
+    class_of = {}
+    for e in atlas_entries():
+        class_of.setdefault(least_form(e.gens)[0], e.id)
+    assert len(LABELED_CLASSES) == 167
+    for gens in LABELED_CLASSES:
+        for perm in permutations(range(4)):
+            ideal = SquarefreeIdeal(tuple(sorted(permute_mask(g, perm) for g in gens)))
+            form, witness = least_form(ideal.gens)
+            assert canonicalize(ideal) == atlas.CanonicalForm(class_of[form], witness, form)
 
 
 def test_loader_rejects_a_corrupted_table(monkeypatch):

@@ -243,9 +243,26 @@ def test_experiment_rejects_out_of_range_arguments(capsys, flag, value):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["betti", "--max-exp"], ["betti", "--max-gens"], ["verify", "--max-exp"], ["verify", "--max-gens"],
+    ["experiment", "--max-exp"], ["experiment", "--max-gens"], ["experiment", "--samples"],
+    ["experiment", "--seed"],
+])
+@pytest.mark.parametrize("value", ["\u0663", "1_0"])
+def test_numeric_flags_take_ascii_digits_only(capsys, argv, value):
+    # int() would read the Arabic-Indic three as 3 and 1_0 as 10
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, value, *(["x1"] if argv[0] != "experiment" else [])])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[1]}: invalid int value: '{value}'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_reports_every_mismatching_multidegree(capsys, monkeypatch):
     from betti4.engine import full_table
-    from betti4.tables import BettiTable, projective_dimension
+    from betti4.tables import BettiTable
 
     def corrupted(ideal, want_multigraded=False, cap=20):
         # one extra beta3 on every row that carries a beta2
@@ -254,7 +271,7 @@ def test_verify_reports_every_mismatching_multidegree(capsys, monkeypatch):
                 for m, row in table.multigraded.items()}
         extra = sum(1 for row in table.multigraded.values() if row[2])
         betti = table.betti[:3] + (table.betti[3] + extra,) + table.betti[4:]
-        return BettiTable(betti, projective_dimension(betti), rows)
+        return BettiTable(betti, rows)
 
     monkeypatch.setattr("betti4.cli.full_table", corrupted)
     code, out, err = run(capsys, "verify", "x1^2*x2^2, x1^2*x2*x3, x2*x3*x4^2, x3^2*x4^2", "x1")

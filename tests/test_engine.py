@@ -53,35 +53,40 @@ MODEL_OR_STAIRCASE = model_or_staircase()
 
 
 def test_betti_table_consistency_checks():
-    with pytest.raises(InvariantViolation, match="pd 3"):
+    # pd is derived from the totals, so it cannot be passed in
+    with pytest.raises(TypeError):
         BettiTable((1, 2, 1, 0, 0), pd=3)
     with pytest.raises(InvariantViolation, match="bad Betti numbers"):
-        BettiTable((1, -1, 0, 0, 0), pd=1)
-    table = BettiTable((1, 2, 1, 0, 0), pd=2)
+        BettiTable((1, -1, 0, 0, 0))
+    table = BettiTable((1, 2, 1, 0, 0))
     assert table.total == 4 and table.euler == 0
+    # the last nonzero degree, gaps and all
+    for betti, pd in (((1, 0, 0, 0, 0), 0), ((1, 1, 0, 0, 0), 1), ((1, 2, 1, 0, 0), 2),
+                      ((1, 4, 4, 1, 0), 3), ((1, 4, 6, 4, 1), 4), ((1, 0, 0, 0, 2), 4)):
+        assert BettiTable(betti).pd == pd
 
 
 def test_long_multigraded_row_is_rejected():
     with pytest.raises(InvariantViolation, match="5-tuples"):
-        BettiTable((1, 0, 0, 0, 0), 0, {UNIT: (1, 0, 0, 0, 0, 0)})
+        BettiTable((1, 0, 0, 0, 0), {UNIT: (1, 0, 0, 0, 0, 0)})
     # a long row next to well-formed ones trips the strict column zip
     with pytest.raises(InvariantViolation, match="5-tuples"):
-        BettiTable((1, 1, 0, 0, 0), 1, {UNIT: (1, 0, 0, 0, 0), (1, 0, 0, 0): (0, 1, 0, 0, 0, 0)})
+        BettiTable((1, 1, 0, 0, 0), {UNIT: (1, 0, 0, 0, 0), (1, 0, 0, 0): (0, 1, 0, 0, 0, 0)})
 
 
 def test_short_multigraded_row_is_rejected():
     # this 4-entry row adds up to the first four totals
     with pytest.raises(InvariantViolation, match="5-tuples"):
-        BettiTable((1, 0, 0, 0, 0), 0, {UNIT: (1, 0, 0, 0)})
+        BettiTable((1, 0, 0, 0, 0), {UNIT: (1, 0, 0, 0)})
     # a short row next to a well-formed one trips the strict column zip
     with pytest.raises(InvariantViolation, match="5-tuples"):
-        BettiTable((1, 1, 0, 0, 0), 1, {UNIT: (1, 0, 0, 0, 0), (1, 0, 0, 0): (0, 1, 0, 0)})
+        BettiTable((1, 1, 0, 0, 0), {UNIT: (1, 0, 0, 0, 0), (1, 0, 0, 0): (0, 1, 0, 0)})
 
 
 def test_negative_multigraded_entry_is_rejected():
     # the -1 cancels the extra 1 in the column sum
     with pytest.raises(InvariantViolation, match="non-negative"):
-        BettiTable((1, 0, 0, 0, 0), 0, {UNIT: (1, 1, 0, 0, 0), (1, 0, 0, 0): (0, -1, 0, 0, 0)})
+        BettiTable((1, 0, 0, 0, 0), {UNIT: (1, 1, 0, 0, 0), (1, 0, 0, 0): (0, -1, 0, 0, 0)})
 
 
 def test_full_table_on_worked_example():
@@ -151,11 +156,15 @@ def test_generator_cap():
 def test_generator_cap_applies_to_the_unit_ideal():
     # the formula route and the oracle refuse the same ideals
     unit = MonomialIdeal((UNIT,))
+    zero = MonomialIdeal(())
     for compute in (full_table, oracle_betti):
         with pytest.raises(GeneratorCapExceeded):
             compute(unit, cap=0)
         assert compute(unit, cap=1).betti == (1, 1, 0, 0, 0)
-        assert compute(MonomialIdeal(()), cap=0).betti == (1, 0, 0, 0, 0)
+        assert compute(zero, cap=0).betti == (1, 0, 0, 0, 0)
+        # no ideal fits under a negative cap, not even the zero ideal
+        with pytest.raises(GeneratorCapExceeded, match="0 generators exceed the cap of -1"):
+            compute(zero, cap=-1)
 
 
 def test_pd_two_condition():
