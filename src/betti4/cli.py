@@ -298,3 +298,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

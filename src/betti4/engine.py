@@ -225,10 +225,15 @@ def betti3_formula(ideal, cap=DEFAULT_GEN_CAP):
 
 
 def betti3_euler(ideal, cap=DEFAULT_GEN_CAP):
-    """Third Betti number from the Euler characteristic of the resolution."""
+    """Third Betti number from the Euler characteristic of the resolution.
+
+    The walk comes first, as on the other routes, so a cap the ideal
+    exceeds raises GeneratorCapExceeded even for the zero ideal.
+    """
+    b2 = betti2_formula(ideal, cap)
     if ideal.is_zero:
         raise ValueError("the Euler route needs at least one generator")
-    value = 1 + betti2_formula(ideal, cap) + betti4(ideal) - len(ideal.gens)
+    value = 1 + b2 + betti4(ideal) - len(ideal.gens)
     if value < 0:
         raise NegativeBetti(f"beta3 = {value} for generators {ideal.gens}")
     return value

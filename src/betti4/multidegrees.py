@@ -1,11 +1,14 @@
 """Distinct multidegrees of the Taylor resolution: lcms of generator subsets."""
 
+from functools import lru_cache
+
 from .errors import GeneratorCapExceeded
 from .monomials import UNIT
 
 DEFAULT_GEN_CAP = 20
 
 
+@lru_cache(maxsize=1)
 def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
     """All distinct lcms of subsets of the generating set, as a lex-sorted tuple.
 
@@ -14,6 +17,11 @@ def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
     distinct lcms rather than 2^q; the cap still guards the worst case.
     The empty subset contributes the constant monomial.  Both routes walk
     first, so this one cap check makes them refuse the same ideals.
+
+    The result for the most recent (ideal, cap) is memoized (one entry),
+    so `verify`'s formula pass and its four oracle passes share one walk.
+    The cap is part of the key, so a call with a lower cap checks it
+    again; an exception is never cached.
     """
     q = len(ideal.gens)
     if q > cap:

@@ -53,11 +53,16 @@ def model_or_staircase(max_q=28):
     )
 
 
+def run_checkout(*argv, check=False):
+    """A new interpreter run with argv that imports this checkout's betti4,
+    as a CompletedProcess with text output."""
+    src = str(Path(betti4.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=60, check=check)
+
+
 def run_fresh_interpreter(code, *options):
     """stdout of code run by a new interpreter (with the given command-line
     options) that imports this checkout's betti4; fails on a nonzero exit."""
-    src = str(Path(betti4.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, *options, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    return done.stdout
+    return run_checkout(*options, "-c", code, check=True).stdout

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from conftest import run_checkout
 
 from betti4.cli import build_parser, format_monomial, main, sample_ideal
+from betti4.parsing import parse_ideal
 
 
 def run(capsys, *argv):
@@ -333,3 +335,34 @@ def test_cached_parser_keeps_no_state_between_calls(capsys, calls):
     assert build_parser() is build_parser()
     assert [code for code, _, _ in first] == [code for _, code in calls]
     assert in_sequence == first
+
+
+@pytest.mark.parametrize("module", ["betti4", "betti4.cli"])
+def test_runs_as_a_module(module):
+    done = run_checkout("-m", module, "betti", "x1")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "ideal: x1\n  b0=1  b1=1  b2=0  b3=0  b4=0  pd=1  pd2_condition=false\n"
+    done = run_checkout("-m", module, "betti", "--no-such-flag", "x1")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "unrecognized arguments: --no-such-flag" in done.stderr
+
+
+def test_verify_builds_each_koszul_complex_once_across_the_fields(capsys, monkeypatch):
+    from betti4 import homology
+    from betti4.multidegrees import enumerate_multidegrees
+
+    built = []
+    koszul_complex = homology.koszul_complex
+
+    def counted(ideal, b):
+        built.append(b)
+        return koszul_complex(ideal, b)
+
+    monkeypatch.setattr(homology, "koszul_complex", counted)
+    # start from empty memos, so a test that ran this ideal before does not count
+    enumerate_multidegrees.cache_clear()
+    homology._face_sets.cache_clear()
+    code, out, _ = run(capsys, "verify", WORKED)
+    assert code == 0 and "char0=ok char2=ok char3=ok char5=ok" in out
+    lattice = enumerate_multidegrees(parse_ideal(WORKED), 20)
+    assert built == list(lattice)

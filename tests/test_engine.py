@@ -165,6 +165,15 @@ def test_generator_cap_applies_to_the_unit_ideal():
         # no ideal fits under a negative cap, not even the zero ideal
         with pytest.raises(GeneratorCapExceeded, match="0 generators exceed the cap of -1"):
             compute(zero, cap=-1)
+    # the Euler route walks first too; only a cap the zero ideal fits
+    # reaches its refusal of an ideal without generators
+    with pytest.raises(GeneratorCapExceeded):
+        betti3_euler(unit, cap=0)
+    assert betti3_euler(unit, cap=1) == 0
+    with pytest.raises(GeneratorCapExceeded, match="0 generators exceed the cap of -1"):
+        betti3_euler(zero, cap=-1)
+    with pytest.raises(ValueError, match="at least one generator"):
+        betti3_euler(zero, cap=0)
 
 
 def test_pd_two_condition():

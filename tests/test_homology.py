@@ -8,6 +8,7 @@ from betti4.homology import (
     RATIONALS,
     FieldSpec,
     SimplicialComplex,
+    _face_sets,
     _interned_complex,
     koszul_complex,
     multigraded_oracle,
@@ -175,6 +176,37 @@ def test_oracle_pass_matches_the_per_point_definition(ideal):
         totals_only = oracle_betti(ideal, field, 40)
         assert totals_only.betti == reference.betti and totals_only.pd == reference.pd
         assert totals_only.multigraded is None
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from([
+        MonomialIdeal(()),
+        MonomialIdeal((UNIT,)),
+        ideal_of((2, 2, 0, 0), (2, 1, 1, 0), (0, 1, 1, 2), (0, 0, 2, 2)),
+        ideal_of((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        staircase(12, 5),
+    ]) | model_or_staircase(12), st.sampled_from(ALL_FIELDS)),
+    min_size=1, max_size=12,
+))
+def test_oracle_memos_follow_any_sequence_of_ideals_and_fields(calls):
+    # repeats, alternations and field changes in any order: the memos may
+    # only ever answer for the ideal they were asked about
+    for ideal, field in calls:
+        assert oracle_betti(ideal, field, 40, want_multigraded=True) == oracle_by_points(ideal, field, 40)
+
+
+def test_face_set_memo_holds_the_most_recent_ideal_only():
+    first = ideal_of((1, 0, 0, 0), (0, 1, 0, 0))
+    second = ideal_of((2, 0, 0, 0), (0, 0, 3, 0), (0, 1, 1, 1))
+    assert _face_sets.cache_info().maxsize == 1
+    for ideal in (first, second, first):
+        for field in ALL_FIELDS:
+            oracle_betti(ideal, field)
+            assert _face_sets.cache_info().currsize == 1
+    # each face set is the one koszul_complex builds at the same point
+    for ideal in (first, second):
+        degrees = enumerate_multidegrees(ideal)
+        assert _face_sets(ideal, degrees) == tuple(koszul_complex(ideal, b).face_bits for b in degrees)
 
 
 def test_oracle_on_the_variable_ideal():

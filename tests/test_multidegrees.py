@@ -36,6 +36,30 @@ def test_generator_cap():
     assert len(enumerate_multidegrees(ideal, cap=21)) > 0
 
 
+def test_memo_checks_a_lower_cap_again():
+    ideal = MonomialIdeal(tuple((i, 20 - i, 0, 0) for i in range(21)))
+    degrees = enumerate_multidegrees(ideal, 40)
+    with pytest.raises(GeneratorCapExceeded, match="21 generators exceed the cap of 1"):
+        enumerate_multidegrees(ideal, 1)
+    # the refusal is not cached either, and a cap the ideal fits still answers
+    with pytest.raises(GeneratorCapExceeded):
+        enumerate_multidegrees(ideal, 1)
+    assert enumerate_multidegrees(ideal, 40) == degrees
+    assert enumerate_multidegrees(ideal, 21) == degrees
+
+
+def test_memo_holds_the_most_recent_lattice_only():
+    first = ideal_of((1, 0, 0, 0), (0, 1, 0, 0))
+    second = ideal_of((2, 0, 0, 0), (0, 0, 3, 0), (0, 1, 1, 1))
+    assert enumerate_multidegrees.cache_info().maxsize == 1
+    for ideal in (first, second, first):
+        enumerate_multidegrees(ideal, 20)
+        assert enumerate_multidegrees.cache_info().currsize == 1
+    hits = enumerate_multidegrees.cache_info().hits
+    assert enumerate_multidegrees(first, 20) == ((0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0))
+    assert enumerate_multidegrees.cache_info().hits == hits + 1
+
+
 @given(ideals())
 def test_multidegrees_are_exactly_the_subset_lcms(ideal):
     degrees = enumerate_multidegrees(ideal)
