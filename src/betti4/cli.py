@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import random
 import re
 import sys
@@ -267,8 +268,9 @@ def build_parser():
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("atlas", help="dump or re-check the squarefree class table")
-    p.add_argument("--json", action="store_true", help="JSON array output")
-    p.add_argument("--check", action="store_true", help="re-derive every row via the oracle")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--json", action="store_true", help="JSON array output")
+    mode.add_argument("--check", action="store_true", help="re-derive every row via the oracle")
     p.set_defaults(run=cmd_atlas)
 
     p = sub.add_parser("experiment", help="random-ideal statistics as CSV")
@@ -297,7 +299,15 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``betti ... | head -1``); point it
+        # at the null device so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

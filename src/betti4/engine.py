@@ -1,12 +1,14 @@
 """Total and multigraded Betti numbers from the closed formulas.
 
-beta2 and beta3 come from a key table: the row at a multidegree m
-depends only on the upward closure of its twin masks and on the support
-of m, and the 168 possible closures are tabulated at import from the
-shape weights, each checked against its atlas class.  beta4 comes from
-dominant quadruples of generators; beta3 is additionally recomputed
-from the Euler characteristic and the two values are cross-checked at
-runtime.
+Every Betti number comes from a key table: the row beta0..beta4 at a
+multidegree m depends only on the upward closure of its twin masks and
+on the support of m, and the 168 possible closures are tabulated at
+import, beta2 and beta3 from the shape weights, each checked against
+its atlas class.  full_table walks the lcm lattice, keys each point with
+bit operations, looks its row up and sums the rows.  The dominant
+quadruples of generators are the paper's independent beta4 route and
+the runtime cross-check of the table's beta4 column; the Euler relation
+gives a second route to beta3.
 """
 
 from bisect import bisect_left
@@ -16,7 +18,6 @@ from operator import itemgetter
 
 from .atlas import ENTRIES, LABELED_CLASSES
 from .errors import InternalInconsistency, InvariantViolation, NegativeBetti
-from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
 from .tables import BettiTable
@@ -140,15 +141,25 @@ def upward_closure(masks):
     return up
 
 
+# The closure of the four singleton masks (0xFFFE): at support 1111 its upper
+# Koszul complex is the hollow tetrahedron (atlas class 5), the only complex
+# on four vertices with reduced H_2, so the only family with a beta4.
+HOLLOW = upward_closure((1, 2, 4, 8))
+
+
 def _build_key_table(classes, entries):
-    """Map each upward-closed family of masks to (support, beta2, beta3).
+    """Map each upward-closed family of masks to (support, row).
 
     classes maps labeled squarefree antichains (sorted mask tuples) to
-    canonical forms and entries maps class ids to atlas entries.  Each
-    row is taken from the shape weights and must equal the row of the
-    atlas class; the empty family (no generator divides m) has the zero row.
+    canonical forms and entries maps class ids to atlas entries.  row is
+    the Betti row beta0..beta4 at a multidegree m whose support is the
+    family's support.  beta2 and beta3 are the shape weights and must
+    equal the row of the atlas class; beta0 = 1 iff the support is empty
+    (m = 1), beta1 = 1 iff the antichain is one mask (m is a generator)
+    and beta4 = 1 iff the family is the hollow one.  The empty family (no
+    generator divides m = 1) has the row of the zero ideal.
     """
-    table = {0: (0, 0, 0)}
+    table = {0: (0, (1, 0, 0, 0, 0))}
     for gens, form in classes.items():
         sq = SquarefreeIdeal(gens)
         weights = _shape_weights(sq)
@@ -158,7 +169,9 @@ def _build_key_table(classes, entries):
                 f"shape weights give {weights} but atlas class {form.class_id} gives "
                 f"({entry.beta2}, {entry.beta3}) for {[mask_string(g) for g in gens]}"
             )
-        table[upward_closure(gens)] = (sq.support, *weights)
+        up = upward_closure(gens)
+        table[up] = (sq.support, (int(not sq.support), int(len(gens) == 1), *weights,
+                                  int(up == HOLLOW)))
     if len(table) != 168:
         raise InternalInconsistency(f"{len(table)} upward-closed families tabulated, expected 168")
     return table
@@ -166,18 +179,23 @@ def _build_key_table(classes, entries):
 
 KEY_TABLE = _build_key_table(LABELED_CLASSES, ENTRIES)
 
+# The nonzero rows of KEY_TABLE keyed on up | support << 16, so that one
+# lookup also checks that the family's support fills the support of m.
+NONZERO_ROWS = {up | support << 16: row for up, (support, row) in KEY_TABLE.items() if any(row)}
 
-def lattice_keys(gens, degrees):
-    """(m, up, y_m) for every multidegree m in degrees.
+
+def key_rows(gens, degrees):
+    """{m: row} for every multidegree m in degrees with a nonzero row.
 
     up is the upward closure of the twin masks of the generators that
-    divide m: the twin mask of g has bit j set iff g_j == m_j > 0.
-    y_m is the support of m.  A dividing generator with an empty twin
-    mask (g_j < m_j on all of supp(m)) makes up the set of all 16 masks,
-    so the scan stops there; the key table gives such an m the zero row
-    unless m = 1.
+    divide m: the twin mask of g has bit j set iff g_j == m_j > 0.  The
+    row is the key table's for up if that family's support is supp(m),
+    else zero.  A dividing generator with an empty twin mask makes up
+    all 16 masks, of empty support, so the scan stops there; such an m
+    has the zero row unless m = 1.
     """
     full = UP[0]
+    rows = {}
     for m in degrees:
         m0, m1, m2, m3 = m
         up = 0
@@ -190,38 +208,21 @@ def lattice_keys(gens, degrees):
                     up = full
                     break
                 up |= UP[mask]
-        yield m, up, (m0 > 0) | (m1 > 0) << 1 | (m2 > 0) << 2 | (m3 > 0) << 3
-
-
-def key_rows(gens, degrees):
-    """(m, beta2, beta3) for every multidegree in degrees with a nonzero row.
-
-    The row is the key table's when the twin support fills y_m and zero
-    otherwise.
-    """
-    for m, up, y_m in lattice_keys(gens, degrees):
-        support, b2, b3 = KEY_TABLE[up]
-        if support == y_m and (b2 or b3):
-            yield m, b2, b3
-
-
-def _formula_counts(ideal, cap):
-    """Summed key-table rows giving (beta2, beta3)."""
-    b2 = b3 = 0
-    for _, w2, w3 in key_rows(ideal.gens, enumerate_multidegrees(ideal, cap)):
-        b2 += w2
-        b3 += w3
-    return b2, b3
+        row = NONZERO_ROWS.get(up | (m0 > 0) << 16 | (m1 > 0) << 17 | (m2 > 0) << 18
+                               | (m3 > 0) << 19)
+        if row:
+            rows[m] = row
+    return rows
 
 
 def betti2_formula(ideal, cap=DEFAULT_GEN_CAP):
-    """Second Betti number by the shape-count formula."""
-    return _formula_counts(ideal, cap)[0]
+    """Second Betti number: the beta2 column of the key-table rows."""
+    return full_table(ideal, cap=cap).betti[2]
 
 
 def betti3_formula(ideal, cap=DEFAULT_GEN_CAP):
-    """Third Betti number by the shape-count formula."""
-    return _formula_counts(ideal, cap)[1]
+    """Third Betti number: the beta3 column of the key-table rows."""
+    return full_table(ideal, cap=cap).betti[3]
 
 
 def betti3_euler(ideal, cap=DEFAULT_GEN_CAP):
@@ -240,46 +241,26 @@ def betti3_euler(ideal, cap=DEFAULT_GEN_CAP):
 
 
 def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
-    """Assemble beta0..beta4, computing beta3 two redundant ways.
+    """Betti numbers beta0..beta4 as column sums of key-table rows.
 
-    beta2 and beta3 are sums of key-table rows; beta3 is checked against
-    the Euler relation with beta4 from the dominant quadruples.  The
-    optional multigraded map holds the nonzero rows by multidegree.  The
-    zero ideal, which gives the Euler relation no generator, takes the
-    conventional table (1,0,0,0,0) once the walk has checked the cap.
+    Every row of the optional multigraded map is a key-table row.  The
+    totals are cross-checked against the generators (beta1 = q), the
+    Euler characteristic (0, or 1 for the zero ideal) and the paper's
+    independent beta4 route: the rows with a beta4 must sit exactly at
+    the lcms of the dominant quadruples.
     """
-    degrees = enumerate_multidegrees(ideal, cap)
-    if ideal.is_zero:
-        table = (1, 0, 0, 0, 0)
-        return BettiTable(table, {UNIT: table} if want_multigraded else None)
-
-    b2 = b3_direct = 0
-    rows = {} if want_multigraded else None
-    for m, w2, w3 in key_rows(ideal.gens, degrees):
-        b2 += w2
-        b3_direct += w3
-        if rows is not None:
-            rows[m] = [0, 0, w2, w3, 0]
-
-    quadruples = dominant_quadruples(ideal)
-    b4 = len(quadruples.lcms)
-    b3 = 1 + b2 + b4 - len(ideal.gens)
-    if b3 < 0:
-        raise NegativeBetti(f"beta3 = {b3} for generators {ideal.gens}")
-    if b3 != b3_direct:
+    rows = key_rows(ideal.gens, enumerate_multidegrees(ideal, cap))
+    table = BettiTable(tuple(map(sum, zip(*rows.values()))), rows if want_multigraded else None)
+    # distinct lcms, as many as the beta4 column's sum and each on a row
+    # with a beta4, are exactly the multidegrees with beta4 = 1
+    lcms = dominant_quadruples(ideal).lcms
+    if (table.betti[1] != len(ideal.gens) or table.euler != ideal.is_zero
+            or len(lcms) != table.betti[4] or not all(m in rows and rows[m][4] for m in lcms)):
         raise InternalInconsistency(
-            f"beta3 formula gives {b3_direct} but Euler gives {b3} for {ideal.gens}"
+            f"key-table totals {table.betti} break beta1 = q, the Euler relation or the "
+            f"beta4 degrees of the dominant quadruples for {ideal.gens}"
         )
-
-    betti = (1, len(ideal.gens), b2, b3, b4)
-    if rows is not None:
-        rows.setdefault(UNIT, [0] * 5)[0] = 1
-        for g in ideal.gens:
-            rows.setdefault(g, [0] * 5)[1] = 1
-        for degree in quadruples.lcms:
-            rows.setdefault(degree, [0] * 5)[4] = 1
-        rows = {m: tuple(row) for m, row in sorted(rows.items())}
-    return BettiTable(betti, rows)
+    return table
 
 
 def pd_two_condition(ideal):

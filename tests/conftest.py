@@ -53,13 +53,24 @@ def model_or_staircase(max_q=28):
     )
 
 
+def _checkout_env():
+    """The environment with this checkout's src directory first on the module path."""
+    src = str(Path(betti4.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_checkout(*argv, check=False):
     """A new interpreter run with argv that imports this checkout's betti4,
     as a CompletedProcess with text output."""
-    src = str(Path(betti4.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=env, timeout=60, check=check)
+                          env=_checkout_env(), timeout=60, check=check)
+
+
+def start_checkout(*argv):
+    """A new interpreter started with argv that imports this checkout's
+    betti4, as a Popen with text pipes for stdout and stderr."""
+    return subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=_checkout_env())
 
 
 def run_fresh_interpreter(code, *options):

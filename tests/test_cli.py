@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from conftest import run_checkout
+from conftest import run_checkout, start_checkout
 
 from betti4.cli import build_parser, format_monomial, main, sample_ideal
 from betti4.parsing import parse_ideal
@@ -154,6 +154,15 @@ def test_atlas_check(capsys):
     code, out, _ = run(capsys, "atlas", "--check")
     assert code == 0
     assert "agree" in out
+
+
+def test_atlas_json_and_check_are_rejected_together(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["atlas", "--json", "--check"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --check: not allowed with argument --json" in err
 
 
 def test_experiment_csv_shape(capsys):
@@ -366,3 +375,19 @@ def test_verify_builds_each_koszul_complex_once_across_the_fields(capsys, monkey
     assert code == 0 and "char0=ok char2=ok char3=ok char5=ok" in out
     lattice = enumerate_multidegrees(parse_ideal(WORKED), 20)
     assert built == list(lattice)
+
+
+@pytest.mark.parametrize("argv", [["betti", "--file", "{path}"], ["experiment", "--samples", "10000"]])
+def test_a_reader_that_stops_early_gets_no_traceback(tmp_path, argv):
+    # far more output than a pipe buffers, so the writer is still
+    # printing when the reader closes its end
+    path = tmp_path / "big.txt"
+    path.write_text("x1*x2, x3, x4^2\n" * 5000, encoding="utf-8")
+    with start_checkout("-m", "betti4", *(arg.format(path=path) for arg in argv)) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith(("ideal: ", "seed_index,"))
+    assert code == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

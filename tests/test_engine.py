@@ -8,9 +8,13 @@ import pytest
 from conftest import ideal_of, ideals, model_or_staircase, permutations_of_4, staircase
 from hypothesis import given, settings, strategies as st
 
+from betti4 import engine
 from betti4.atlas import ENTRIES, LABELED_CLASSES
 from betti4.cli import sample_ideal
 from betti4.engine import (
+    HOLLOW,
+    KEY_TABLE,
+    NONZERO_ROWS,
     UP,
     BettiTable,
     DominantQuadrupleClass,
@@ -22,7 +26,6 @@ from betti4.engine import (
     dominant_quadruples,
     full_table,
     key_rows,
-    lattice_keys,
     pd_two_condition,
     upward_closure,
 )
@@ -252,14 +255,17 @@ def test_betti3_routes_agree(ideal):
 
 
 @given(MODEL_OR_STAIRCASE)
-def test_lattice_keys_match_the_reduction_pipeline(ideal):
+def test_key_rows_match_the_reduction_pipeline(ideal):
+    # the bit-operation key at each lattice point names the key-table row
+    # of the squarefree twin the reduction pipeline builds there
     degrees = enumerate_multidegrees(ideal, 40)
-    keys = list(lattice_keys(ideal.gens, degrees))
-    assert [m for m, _, _ in keys] == list(degrees)
-    for m, up, y_m in keys:
+    rows = key_rows(ideal.gens, degrees)
+    assert list(rows) == [m for m in degrees if m in rows]
+    zero = (0,) * 5
+    for m in degrees:
         bundle = build_bundle(ideal, m)
-        assert up == upward_closure(bundle.squarefree.gens)
-        assert y_m == bundle.y_m
+        support, row = KEY_TABLE[upward_closure(bundle.squarefree.gens)]
+        assert rows.get(m, zero) == (row if support == bundle.y_m else zero)
 
 
 def _saturated(ideal, m):
@@ -270,14 +276,14 @@ def _saturated(ideal, m):
 
 @given(MODEL_OR_STAIRCASE)
 def test_saturated_lattice_points_have_zero_rows(ideal):
-    # where lattice_keys stops its scan early, the key, the key table and
+    # where key_rows stops its scan early, the key, the key table and
     # the homology oracle must all give the zero row
     degrees = enumerate_multidegrees(ideal, 40)
-    nonzero = {m for m, _, _ in key_rows(ideal.gens, degrees)}
-    for m, up, _ in lattice_keys(ideal.gens, degrees):
+    nonzero = key_rows(ideal.gens, degrees)
+    for m in degrees:
         if not _saturated(ideal, m):
             continue
-        assert up == UP[0]
+        assert upward_closure(build_bundle(ideal, m).squarefree.gens) == UP[0]
         assert m not in nonzero
         for field in ALL_FIELDS:
             assert multigraded_oracle(ideal, m, field)[1:] == (0, 0, 0, 0)
@@ -309,6 +315,29 @@ def _dominant_quadruples_by_scan(ideal):
 @given(MODEL_OR_STAIRCASE)
 def test_dominant_quadruples_match_the_subset_scan(ideal):
     assert dominant_quadruples(ideal) == _dominant_quadruples_by_scan(ideal)
+
+
+@given(MODEL_OR_STAIRCASE)
+def test_beta4_rows_sit_at_the_dominant_quadruple_lcms(ideal):
+    rows = full_table(ideal, want_multigraded=True, cap=40).multigraded
+    assert tuple(m for m, row in rows.items() if row[4]) == _dominant_quadruples_by_scan(ideal).lcms
+    table_rows = {row for _, row in KEY_TABLE.values()}
+    assert all(row in table_rows for row in rows.values())
+
+
+def test_a_lost_beta4_row_is_caught_at_runtime(monkeypatch):
+    monkeypatch.setitem(NONZERO_ROWS, HOLLOW | 0b1111 << 16, (0, 0, 0, 0, 0))
+    with pytest.raises(InternalInconsistency, match="Euler relation"):
+        full_table(SECTION8)
+
+
+def test_beta4_rows_off_the_dominant_quadruples_are_caught_at_runtime(monkeypatch):
+    # the two beta4 routes agree on the count here, not on the place
+    lcms = dominant_quadruples(SECTION8).lcms
+    moved = DominantQuadrupleClass((), lcms[:-1] + ((9, 9, 9, 9),))
+    monkeypatch.setattr(engine, "dominant_quadruples", lambda ideal: moved)
+    with pytest.raises(InternalInconsistency, match="beta4 degrees"):
+        full_table(SECTION8)
 
 
 def test_key_table_is_checked_against_the_atlas():
