@@ -6,11 +6,11 @@ at the class degree can be looked up instead of computed.  Bit-strings
 are written with y1 leftmost.
 """
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import InternalInconsistency, NotInAtlas
 from .squarefree import SquarefreeIdeal, mask_string, parse_mask, permute_mask
+from .values import Value, set_field
 
 # (id, generators, degree, beta2, beta3).  Generators appear in their
 # traditional listing order; they are sorted as masks when parsed.
@@ -85,25 +85,35 @@ _TABLE = (
 
 _PERMS = tuple(permutations(range(4)))
 
-
-@dataclass(frozen=True)
-class AtlasEntry:
-    """One of the 66 classes with its tabulated multigraded Betti row."""
-
-    id: int
-    gens: tuple  # sorted masks
-    y_m: int
-    beta2: int
-    beta3: int
+# _RELABEL[k][mask] is mask relabeled by the k-th permutation in _PERMS
+_RELABEL = tuple(tuple(permute_mask(mask, perm) for mask in range(16)) for perm in _PERMS)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class AtlasEntry(Value):
+    """One of the 66 classes with its tabulated multigraded Betti row.
+
+    gens holds the sorted masks of the generators.
+    """
+
+    __slots__ = ("id", "gens", "y_m", "beta2", "beta3")
+
+    def __init__(self, id, gens, y_m, beta2, beta3):
+        set_field(self, "id", id)
+        set_field(self, "gens", gens)
+        set_field(self, "y_m", y_m)
+        set_field(self, "beta2", beta2)
+        set_field(self, "beta3", beta3)
+
+
+class CanonicalForm(Value):
     """Result of canonicalization: class id, witnessing relabeling, least form."""
 
-    class_id: int
-    permutation: tuple
-    canonical_gens: tuple
+    __slots__ = ("class_id", "permutation", "canonical_gens")
+
+    def __init__(self, class_id, permutation, canonical_gens):
+        set_field(self, "class_id", class_id)
+        set_field(self, "permutation", permutation)
+        set_field(self, "canonical_gens", canonical_gens)
 
 
 def _load():
@@ -131,7 +141,7 @@ def _load():
             if (other.beta2, other.beta3) != (b2, b3):
                 raise InternalInconsistency(f"entries {known.class_id} and {cid} disagree")
             continue
-        images = [tuple(sorted(permute_mask(g, perm) for g in gens)) for perm in _PERMS]
+        images = [tuple(sorted([relabel[g] for g in gens])) for relabel in _RELABEL]
         least = min(images)
         witnesses = [q for q, image in zip(_PERMS, images) if image == least]
         for p, image in zip(_PERMS, images):

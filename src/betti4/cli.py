@@ -209,13 +209,14 @@ def sample_ideal(rng, max_gens, max_exp):
 
 def cmd_experiment(args):
     rng = random.Random(args.seed)
-    ideals = [sample_ideal(rng, args.max_gens, args.max_exp) for _ in range(args.samples)]
-    tables = [full_table(ideal, cap=args.max_gens) for ideal in ideals]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["seed_index", "num_gens", "beta2", "beta3", "beta4", "pd", "beta3_gt_beta2"])
     wins = 0
     wins_pd4 = 0
-    for index, (ideal, table) in enumerate(zip(ideals, tables)):
+    # each row is written as soon as its table is known
+    for index in range(args.samples):
+        ideal = sample_ideal(rng, args.max_gens, args.max_exp)
+        table = full_table(ideal, cap=args.max_gens)
         b = table.betti
         greater = b[3] > b[2]
         wins += greater

@@ -12,7 +12,6 @@ gives a second route to beta3.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
@@ -21,19 +20,24 @@ from .errors import InternalInconsistency, InvariantViolation, NegativeBetti
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
 from .tables import BettiTable
+from .values import Value, set_field
 
 
-@dataclass(frozen=True)
-class DominantQuadrupleClass:
-    """4-element dominant subsets whose lcm no generator strongly divides."""
+class DominantQuadrupleClass(Value):
+    """4-element dominant subsets whose lcm no generator strongly divides.
 
-    quadruples: tuple  # each one lex-sorted, all in lex order
-    lcms: tuple  # distinct, lex-sorted
+    quadruples holds each one lex-sorted, all in lex order; lcms holds
+    their distinct lcms, lex-sorted.
+    """
 
-    def __post_init__(self):
-        for quad in self.quadruples:
+    __slots__ = ("quadruples", "lcms")
+
+    def __init__(self, quadruples, lcms):
+        for quad in quadruples:
             if len(quad) != 4:
                 raise InvariantViolation(f"a dominant quadruple has {len(quad)} members: {quad}")
+        set_field(self, "quadruples", quadruples)
+        set_field(self, "lcms", lcms)
 
 
 def dominant_quadruples(ideal):
@@ -228,13 +232,15 @@ def betti3_formula(ideal, cap=DEFAULT_GEN_CAP):
 def betti3_euler(ideal, cap=DEFAULT_GEN_CAP):
     """Third Betti number from the Euler characteristic of the resolution.
 
-    The walk comes first, as on the other routes, so a cap the ideal
-    exceeds raises GeneratorCapExceeded even for the zero ideal.
+    beta2 and beta4 are read from one full_table, whose beta4 column is
+    already checked against the dominant quadruples' lcms.  The walk
+    comes first, as on the other routes, so a cap the ideal exceeds
+    raises GeneratorCapExceeded even for the zero ideal.
     """
-    b2 = betti2_formula(ideal, cap)
+    betti = full_table(ideal, cap=cap).betti
     if ideal.is_zero:
         raise ValueError("the Euler route needs at least one generator")
-    value = 1 + b2 + betti4(ideal) - len(ideal.gens)
+    value = 1 + betti[2] + betti[4] - len(ideal.gens)
     if value < 0:
         raise NegativeBetti(f"beta3 = {value} for generators {ideal.gens}")
     return value
@@ -250,7 +256,7 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     the lcms of the dominant quadruples.
     """
     rows = key_rows(ideal.gens, enumerate_multidegrees(ideal, cap))
-    table = BettiTable(tuple(map(sum, zip(*rows.values()))), rows if want_multigraded else None)
+    table = BettiTable.from_rows(rows, want_multigraded)
     # distinct lcms, as many as the beta4 column's sum and each on a row
     # with a beta4, are exactly the multidegrees with beta4 = 1
     lcms = dominant_quadruples(ideal).lcms

@@ -8,30 +8,31 @@ the rest of the package is consulted, which is what makes this module
 usable as an oracle for all of them.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalInconsistency, InvariantViolation
 from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .tables import BettiTable
+from .values import Value, set_field
 
 SUPPORTED_CHARACTERISTICS = (0, 2, 3, 5)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Value):
     """Base field: the rationals (characteristic 0) or F_p for small p.
 
-    Primes 2 and 3 cover any torsion a complex on four vertices can
-    have; 5 is kept as a margin witness.
+    Four vertices admit no torsion (the smallest case, RP^2, needs
+    six), so homology on them is the same over every field; the primes
+    2, 3 and 5 witness that.
     """
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self):
-        if self.characteristic not in SUPPORTED_CHARACTERISTICS:
-            raise ValueError(f"unsupported characteristic {self.characteristic}")
+    def __init__(self, characteristic=0):
+        if characteristic not in SUPPORTED_CHARACTERISTICS:
+            raise ValueError(f"unsupported characteristic {characteristic}")
+        set_field(self, "characteristic", characteristic)
 
 
 RATIONALS = FieldSpec(0)
@@ -44,8 +45,7 @@ WITH = tuple(sum(1 << t for t in range(16) if t >> i & 1) for i in range(4))
 MISSES = tuple(sum(1 << t for t in range(16) if not t & a) for a in range(16))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Value):
     """Downward-closed family of subsets of {1..4}, as a 16-bit face set.
 
     Bit t of face_bits is set iff the vertex set t (a 4-bit mask) is a
@@ -54,10 +54,10 @@ class SimplicialComplex:
     are representable.
     """
 
-    face_bits: int
+    __slots__ = ("face_bits",)
 
-    def __post_init__(self):
-        bits = self.face_bits
+    def __init__(self, face_bits):
+        bits = face_bits
         if not 0 <= bits < 1 << 16:
             raise InvariantViolation(f"face set {bits!r} is not a 16-bit set")
         # moving every face that contains vertex i down to the face
@@ -65,6 +65,7 @@ class SimplicialComplex:
         w0, w1, w2, w3 = WITH
         if ((bits & w0) >> 1 | (bits & w1) >> 2 | (bits & w2) >> 4 | (bits & w3) >> 8) & ~bits:
             raise InvariantViolation("face set must be downward closed")
+        set_field(self, "face_bits", bits)
 
 
 @lru_cache(maxsize=None)
@@ -213,12 +214,13 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
     """
     char = field.characteristic
     degrees = enumerate_multidegrees(ideal, cap)
-    rows = {}
-    for b, bits in zip(degrees, _face_sets(ideal, degrees)):
+    # the lattice is lex-sorted, so the unit comes first
+    points = zip(degrees, _face_sets(ideal, degrees))
+    b, bits = next(points)
+    h = _homology_profile(bits, char)
+    rows = {b: (1, h[0], h[1], h[2], h[3])}
+    for b, bits in points:
         h = _homology_profile(bits, char)
-        if b == UNIT:
-            rows[b] = (1, h[0], h[1], h[2], h[3])
-        elif h != _ACYCLIC:
+        if h != _ACYCLIC:
             rows[b] = (0, h[0], h[1], h[2], h[3])
-    betti = tuple(map(sum, zip(*rows.values())))
-    return BettiTable(betti, rows if want_multigraded else None)
+    return BettiTable.from_rows(rows, want_multigraded)

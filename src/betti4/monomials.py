@@ -4,10 +4,10 @@ A monomial is a plain 4-tuple of non-negative exponents for x1..x4.
 Plain tuples keep the subset walks in the rest of the package cheap.
 """
 
-from dataclasses import dataclass
 from operator import lt
 
 from .errors import InvariantViolation
+from .values import Value, set_field
 
 NUM_VARS = 4
 
@@ -56,8 +56,7 @@ def support_mask(m):
     return mask
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """A monomial ideal given by its minimal generating set, lex-sorted.
 
     The zero ideal has no generators; the unit ideal is generated by the
@@ -65,10 +64,9 @@ class MonomialIdeal:
     unless they are already known to be minimal and sorted.
     """
 
-    gens: tuple
+    __slots__ = ("gens",)
 
-    def __post_init__(self):
-        gens = self.gens
+    def __init__(self, gens):
         # an ideal is a hashable value: an unhashable generator raises TypeError
         hash(tuple(gens))
         if not all(map(lt, gens, gens[1:])):
@@ -82,6 +80,10 @@ class MonomialIdeal:
             for a0, a1, a2, a3 in gens[:j]:
                 if a0 <= b0 and a1 <= b1 and a2 <= b2 and a3 <= b3:
                     raise InvariantViolation("generating set must be minimal")
+        set_field(self, "gens", gens)
+
+    def __hash__(self):
+        return hash(self.gens)
 
     @property
     def is_zero(self):

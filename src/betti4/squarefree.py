@@ -5,26 +5,26 @@ squarefree monomials is mask inclusion.  Bit-strings elsewhere in the
 package render masks with y1 leftmost.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvariantViolation
+from .values import Value, set_field
 
 
-@dataclass(frozen=True)
-class SquarefreeIdeal:
+class SquarefreeIdeal(Value):
     """Squarefree monomial ideal with a minimal, ascending-sorted mask tuple."""
 
-    gens: tuple
+    __slots__ = ("gens",)
 
-    def __post_init__(self):
-        if list(self.gens) != sorted(set(self.gens)):
+    def __init__(self, gens):
+        if list(gens) != sorted(set(gens)):
             raise InvariantViolation("masks must be ascending and distinct")
-        for m in self.gens:
+        for m in gens:
             if not 0 <= m < 16:
                 raise InvariantViolation(f"bad mask {m!r}")
-            if any(o != m and o & m == o for o in self.gens):
+            if any(o != m and o & m == o for o in gens):
                 raise InvariantViolation("generating set must be minimal")
+        set_field(self, "gens", gens)
 
     @property
     def support(self):

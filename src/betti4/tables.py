@@ -4,13 +4,27 @@ It lives apart from both routes so that the oracle can build tables
 without importing any formula code.
 """
 
-from dataclasses import dataclass
-
 from .errors import InvariantViolation
+from .values import Value, set_field
+
+_BAD_ROWS = "multigraded rows must be 5-tuples of non-negative entries that sum to the totals"
 
 
-@dataclass(frozen=True)
-class BettiTable:
+def _column_sums(rows, check_entries=True):
+    """Column sums of 5-tuple rows, one strict transpose; every entry,
+    or only the sums, must be non-negative."""
+    # a row of another length makes the strict zip raise, or leaves
+    # other than five columns
+    try:
+        totals = tuple(map(sum, zip(*rows, strict=True)))
+    except ValueError:
+        totals = ()
+    if len(totals) != 5 or min(totals) < 0 or check_entries and min(map(min, rows)) < 0:
+        raise InvariantViolation(_BAD_ROWS)
+    return totals
+
+
+class BettiTable(Value):
     """Betti numbers of S/M in homological degrees 0..4.
 
     The optional multigraded map sends a multidegree to its 5-tuple of
@@ -18,24 +32,25 @@ class BettiTable:
     totals.  The projective dimension is read off the totals.
     """
 
-    betti: tuple
-    multigraded: dict | None = None
+    __slots__ = ("betti", "multigraded")
 
-    def __post_init__(self):
-        if len(self.betti) != 5 or min(self.betti) < 0:
-            raise InvariantViolation(f"bad Betti numbers {self.betti!r}")
-        if self.multigraded is not None:
-            # a row of another length leaves a column sum short or extra,
-            # or makes the strict zip raise
-            try:
-                columns = list(zip(*self.multigraded.values(), strict=True))
-            except ValueError:
-                columns = None
-            if (columns is None or tuple(map(sum, columns)) != self.betti
-                    or min(map(min, columns)) < 0):
-                raise InvariantViolation(
-                    "multigraded rows must be 5-tuples of non-negative entries that sum to the totals"
-                )
+    def __init__(self, betti, multigraded=None):
+        if len(betti) != 5 or min(betti) < 0:
+            raise InvariantViolation(f"bad Betti numbers {betti!r}")
+        if multigraded is not None and _column_sums(multigraded.values()) != betti:
+            raise InvariantViolation(_BAD_ROWS)
+        set_field(self, "betti", betti)
+        set_field(self, "multigraded", multigraded)
+
+    @classmethod
+    def from_rows(cls, rows, want_multigraded=False):
+        """The table whose totals are the column sums of rows, a map from
+        multidegree to 5-tuple; the map is kept only if wanted."""
+        # rows that are not kept need only non-negative sums
+        table = cls.__new__(cls)
+        set_field(table, "betti", _column_sums(rows.values(), want_multigraded))
+        set_field(table, "multigraded", rows if want_multigraded else None)
+        return table
 
     @property
     def pd(self):
@@ -55,4 +70,3 @@ class BettiTable:
     @property
     def total(self):
         return sum(self.betti)
-

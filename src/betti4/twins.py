@@ -8,11 +8,10 @@ multigraded Betti numbers of the original ideal at m equal those of the
 squarefree image at the support of m.
 """
 
-from dataclasses import dataclass
-
 from .errors import IllFormedTwin, RestrictionViolation
 from .monomials import MonomialIdeal, divides, minimalize, support_mask
 from .squarefree import SquarefreeIdeal, minimalize_masks
+from .values import Value, set_field
 
 
 def restrict(ideal, m):
@@ -61,8 +60,7 @@ def squarefree_twin(twin_ideal, m):
     return SquarefreeIdeal(masks), support_mask(m)
 
 
-@dataclass(frozen=True)
-class TwinBundle:
+class TwinBundle(Value):
     """Everything the reduction pipeline derives from one multidegree.
 
     twin_images keeps the pre-minimalization images index-aligned with
@@ -70,12 +68,15 @@ class TwinBundle:
     generators transfer to these images index by index.
     """
 
-    m: tuple
-    restriction: MonomialIdeal
-    twin_images: tuple
-    twin: MonomialIdeal
-    squarefree: SquarefreeIdeal
-    y_m: int
+    __slots__ = ("m", "restriction", "twin_images", "twin", "squarefree", "y_m")
+
+    def __init__(self, m, restriction, twin_images, twin, squarefree, y_m):
+        set_field(self, "m", m)
+        set_field(self, "restriction", restriction)
+        set_field(self, "twin_images", twin_images)
+        set_field(self, "twin", twin)
+        set_field(self, "squarefree", squarefree)
+        set_field(self, "y_m", y_m)
 
 
 def build_bundle(ideal, m):

@@ -189,6 +189,25 @@ def test_experiment_deterministic_and_order_independent(capsys):
     assert first == second
 
 
+def test_experiment_streams_each_row_before_the_next_table(capsys, monkeypatch):
+    from betti4.engine import full_table
+
+    seen = []
+
+    def watched(ideal, cap):
+        # what the run has written when each table is asked for
+        seen.append(capsys.readouterr().out)
+        return full_table(ideal, cap=cap)
+
+    monkeypatch.setattr("betti4.cli.full_table", watched)
+    code, out, _ = run(capsys, "experiment", "--samples", "3", "--seed", "7")
+    assert code == 0 and len(seen) == 3
+    assert seen[0] == "seed_index,num_gens,beta2,beta3,beta4,pd,beta3_gt_beta2\n"
+    assert seen[1].startswith("0,") and seen[1].count("\n") == 1
+    assert seen[2].startswith("1,") and seen[2].count("\n") == 1
+    assert out.startswith("2,")
+
+
 def test_experiment_zero_samples(capsys):
     code, out, _ = run(capsys, "experiment", "--samples", "0")
     assert code == 0

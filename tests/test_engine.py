@@ -1,6 +1,5 @@
 """Formula pipeline: closed-form Betti numbers against fixtures and the oracle."""
 
-import dataclasses
 import random
 from itertools import combinations
 
@@ -9,7 +8,7 @@ from conftest import ideal_of, ideals, model_or_staircase, permutations_of_4, st
 from hypothesis import given, settings, strategies as st
 
 from betti4 import engine
-from betti4.atlas import ENTRIES, LABELED_CLASSES
+from betti4.atlas import ENTRIES, LABELED_CLASSES, AtlasEntry
 from betti4.cli import sample_ideal
 from betti4.engine import (
     HOLLOW,
@@ -254,6 +253,19 @@ def test_betti3_routes_agree(ideal):
     assert betti3_formula(ideal) == betti3_euler(ideal)
 
 
+def test_betti3_euler_scans_the_dominant_quadruples_once(monkeypatch):
+    calls = []
+
+    def counted(ideal):
+        calls.append(ideal)
+        return dominant_quadruples(ideal)
+
+    monkeypatch.setattr(engine, "dominant_quadruples", counted)
+    value = betti3_euler(SECTION8)
+    assert calls == [SECTION8]
+    assert value == full_table(SECTION8).betti[3] == 24
+
+
 @given(MODEL_OR_STAIRCASE)
 def test_key_rows_match_the_reduction_pipeline(ideal):
     # the bit-operation key at each lattice point names the key-table row
@@ -345,7 +357,7 @@ def test_key_table_is_checked_against_the_atlas():
     assert len(table) == 168
     entry = ENTRIES[65]
     corrupted = dict(ENTRIES)
-    corrupted[65] = dataclasses.replace(entry, beta3=entry.beta3 + 1)
+    corrupted[65] = AtlasEntry(entry.id, entry.gens, entry.y_m, entry.beta2, entry.beta3 + 1)
     with pytest.raises(InternalInconsistency, match="atlas class 65"):
         _build_key_table(LABELED_CLASSES, corrupted)
     incomplete = dict(LABELED_CLASSES)

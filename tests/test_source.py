@@ -25,9 +25,8 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_package_imports_only_the_standard_library():
-    # the runtime has no dependencies: every import is relative or stdlib
-    found = []
+def _absolute_imports():
+    """(file name, line, module) of every absolute import in the package."""
     for name, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -36,9 +35,32 @@ def test_package_imports_only_the_standard_library():
                 modules = [node.module]
             else:
                 continue
-            found += [f"{name}:{node.lineno}: {module}" for module in modules
-                      if module.partition(".")[0] not in sys.stdlib_module_names]
+            for module in modules:
+                yield name, node.lineno, module
+
+
+def test_package_imports_only_the_standard_library():
+    # the runtime has no dependencies: every import is relative or stdlib
+    found = [f"{name}:{line}: {module}" for name, line, module in _absolute_imports()
+             if module.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_package_never_imports_dataclasses():
+    # importing dataclasses pulls in inspect, ast and dis, a large share
+    # of a cold start; value types derive from values.Value instead
+    found = [f"{name}:{line}: {module}" for name, line, module in _absolute_imports()
+             if module.partition(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    probe = textwrap.dedent("""
+        import sys
+        import betti4.cli
+        print(sorted(name for name in ("dataclasses", "inspect") if name in sys.modules))
+    """)
+    assert run_fresh_interpreter(probe).splitlines() == ["[]"]
 
 
 def test_numbers_are_ascii_digits_only():
