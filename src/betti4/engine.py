@@ -4,19 +4,20 @@ Every Betti number comes from a key table: the row beta0..beta4 at a
 multidegree m depends only on the upward closure of its twin masks and
 on the support of m, and the 168 possible closures are tabulated at
 import, beta2 and beta3 from the shape weights, each checked against
-its atlas class.  full_table walks the lcm lattice, keys each point with
-bit operations, looks its row up and sums the rows.  The dominant
-quadruples of generators are the paper's independent beta4 route and
-the runtime cross-check of the table's beta4 column; the Euler relation
-gives a second route to beta3.
+its atlas class.  full_table lays the generators out as bitset columns,
+walks the lcm lattice, keys each point with a fixed number of bit
+operations on those columns, looks its row up and sums the rows.  The
+dominant quadruples of generators, found on the same columns, are the
+paper's independent beta4 route and the runtime cross-check of the
+table's beta4 column; the Euler relation gives a second route to beta3.
 """
 
-from bisect import bisect_left
 from itertools import accumulate
 from operator import itemgetter
 
 from .atlas import ENTRIES, LABELED_CLASSES
 from .errors import InternalInconsistency, InvariantViolation, NegativeBetti
+from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
 from .tables import BettiTable
@@ -40,54 +41,97 @@ class DominantQuadrupleClass(Value):
         set_field(self, "lcms", lcms)
 
 
-def dominant_quadruples(ideal):
+_NO_QUADRUPLES = DominantQuadrupleClass((), ())
+_X4 = itemgetter(3)
+
+
+def generator_columns(gens, top):
+    """Per-variable bitset columns of the generators, one bit apiece.
+
+    Returns (order, below, equal).  Bit i stands for order[i]: the
+    generators sorted by x4, ties left in lex order.  below[j][v] holds
+    the generators with x_j < v, for v = 0..top_j + 1, and equal[j][v]
+    those with x_j == v > 0, for v = 0..top_j, so equal[j][0] is empty.
+    top must be a multiple of every generator; then below[j][top_j + 1]
+    holds them all.
+    """
+    order = sorted(gens, key=_X4)
+    t0, t1, t2, t3 = top
+    e0, e1, e2, e3 = [0] * (t0 + 1), [0] * (t1 + 1), [0] * (t2 + 1), [0] * (t3 + 1)
+    bit = 1
+    for g0, g1, g2, g3 in order:
+        e0[g0] |= bit
+        e1[g1] |= bit
+        e2[g2] |= bit
+        e3[g3] |= bit
+        bit <<= 1
+    # a generator sits in one entry of each column, so prefix sums are unions
+    below = ([0, *accumulate(e0)], [0, *accumulate(e1)], [0, *accumulate(e2)],
+             [0, *accumulate(e3)])
+    e0[0] = e1[0] = e2[0] = e3[0] = 0
+    return order, below, (e0, e1, e2, e3)
+
+
+def _columns_for(gens, degrees=()):
+    """generator_columns sized to the lcm of the generators and the degrees."""
+    return generator_columns(gens, tuple(map(max, zip(UNIT, *gens, *degrees))))
+
+
+def dominant_quadruples(ideal, columns=None):
     """Collect the quadruples behind the fourth Betti number.
 
     In a dominant quadruple every member is the unique column maximum of
     one variable, so the quadruple has exactly one assignment a -> x1,
     b -> x2, c -> x3, d -> x4 and its lcm is m = (a0, b1, c2, d3).  The
     loops build only such assignments: each later member lies below the
-    earlier ones in their variables and above them in its own.  Every
+    earlier ones in their variables and above them in its own, so each
+    candidate set is an AND of generator_columns entries (the columns
+    are built here unless given), walked lowest bit first.  Every
     exponent of m is positive, so g strongly divides m iff g < m in all
-    four variables; those g are the members of the list d is drawn from
-    whose x4 exponent is below d3.  So m survives iff d3 is the least x4
-    exponent on that list, and every d attaining it shares the same m.
-    The lists for all c of one (a, b) are prefixes of one list ordered by
-    x3, so d3 is read from its running minima of x4.
+    four variables; those g are the d candidates whose x4 exponent is
+    below d3.  So m survives iff d3 is the least x4 exponent among the
+    candidates, and every d attaining it shares the same m.  The bits
+    run in x4 order, so the lowest bit of the candidate set carries that
+    least exponent.  Fewer than four generators have no quadruple.
     """
     gens = ideal.gens
+    if len(gens) < 4:
+        return _NO_QUADRUPLES
+    order, (lt0, lt1, lt2, _), (_, _, _, eq3) = columns or _columns_for(gens)
     quads = []
     lcms = set()
-    for a in gens:
+    for a in order:
         a0, a1, a2, a3 = a
-        below_a = [g for g in gens if g[0] < a0]
-        for b in below_a:
+        below_a = lt0[a0]
+        # ~lt_j[v + 1] holds the generators with x_j > v
+        bs = below_a & ~lt1[a1 + 1]
+        while bs:
+            low = bs & -bs
+            bs ^= low
+            b = order[low.bit_length() - 1]
             b1 = b[1]
-            if b1 <= a1:
-                continue
-            # c and d need not exceed a in x2, so filter below_a, not b's candidates
-            below_ab = [g for g in below_a if g[1] < b1]
-            c_floor = max(a2, b[2])
-            cs = [c for c in below_ab if c[2] > c_floor]
-            if not cs:
-                continue
-            d_floor = max(a3, b[3])
-            # d's list for c is the prefix of below_ab, ordered by x3, with x3 < c2
-            below_ab.sort(key=itemgetter(2))
-            x3s = [g[2] for g in below_ab]
-            lows = list(accumulate([g[3] for g in below_ab], min))
-            for c in cs:
+            # c and d need not exceed a in x2, so start from below_a, not bs
+            below_ab = below_a & lt1[b1]
+            c_floor = a2 if a2 > b[2] else b[2]
+            cs = below_ab & ~lt2[c_floor + 1]
+            d_floor = a3 if a3 > b[3] else b[3]
+            while cs:
+                low = cs & -cs
+                cs ^= low
+                c = order[low.bit_length() - 1]
                 c2 = c[2]
-                k = bisect_left(x3s, c2)
-                if not k:
+                ds = below_ab & lt2[c2]
+                if not ds:
                     continue
-                d3 = lows[k - 1]
+                d3 = order[(ds & -ds).bit_length() - 1][3]
                 if d3 <= d_floor or d3 <= c[3]:
                     continue
                 lcms.add((a0, b1, c2, d3))
-                for d in below_ab[:k]:
-                    if d[3] == d3:
-                        quads.append(tuple(sorted((a, b, c, d))))
+                ds &= eq3[d3]
+                while ds:
+                    low = ds & -ds
+                    ds ^= low
+                    quads.append(tuple(sorted((a, b, c, order[low.bit_length() - 1]))))
     quads.sort()
     return DominantQuadrupleClass(tuple(quads), tuple(sorted(lcms)))
 
@@ -188,32 +232,50 @@ KEY_TABLE = _build_key_table(LABELED_CLASSES, ENTRIES)
 NONZERO_ROWS = {up | support << 16: row for up, (support, row) in KEY_TABLE.items() if any(row)}
 
 
-def key_rows(gens, degrees):
+def key_rows(gens, degrees, columns=None):
     """{m: row} for every multidegree m in degrees with a nonzero row.
 
     up is the upward closure of the twin masks of the generators that
     divide m: the twin mask of g has bit j set iff g_j == m_j > 0.  The
     row is the key table's for up if that family's support is supp(m),
-    else zero.  A dividing generator with an empty twin mask makes up
-    all 16 masks, of empty support, so the scan stops there; such an m
-    has the zero row unless m = 1.
+    else zero.  Each m costs the same few bit operations on
+    generator_columns (built here, sized to cover the degrees, unless
+    given), however many generators there are: four ANDs give the set d
+    of generators dividing m and four lookups the sets E_j of those with
+    g_j == m_j > 0.  Bit s of up is set iff some g in d has its mask
+    inside s, i.e. lies outside E_j for every variable j missing from s.
+    If some g in d has an empty mask, up holds all 16 masks, of empty
+    support, and m has the zero row unless m = 1 (the unit ideal).
     """
+    _, (lt0, lt1, lt2, lt3), (eq0, eq1, eq2, eq3) = columns or _columns_for(gens, degrees)
+    # le_j[v] holds the generators with x_j <= v
+    le0, le1, le2, le3 = lt0[1:], lt1[1:], lt2[1:], lt3[1:]
+    get = NONZERO_ROWS.get
     full = UP[0]
     rows = {}
     for m in degrees:
         m0, m1, m2, m3 = m
-        up = 0
-        for g0, g1, g2, g3 in gens:
-            if g0 <= m0 and g1 <= m1 and g2 <= m2 and g3 <= m3:
-                mask = ((g0 == m0 > 0) | (g1 == m1 > 0) << 1 | (g2 == m2 > 0) << 2
-                        | (g3 == m3 > 0) << 3)
-                if not mask:
-                    # UP[0] holds every mask, so no later generator can add one
-                    up = full
-                    break
-                up |= UP[mask]
-        row = NONZERO_ROWS.get(up | (m0 > 0) << 16 | (m1 > 0) << 17 | (m2 > 0) << 18
-                               | (m3 > 0) << 19)
+        d = le0[m0] & le1[m1] & le2[m2] & le3[m3]
+        # c_t, for a set t of variables, is d minus E_j for each j in t:
+        # bit 15 - t of up is set iff c_t is nonempty
+        c0 = d & ~eq0[m0]
+        c1 = d & ~eq1[m1]
+        c2 = d & ~eq2[m2]
+        c3 = d & ~eq3[m3]
+        c01 = c0 & c1
+        c23 = c2 & c3
+        if c01 & c23:
+            up = full
+        else:
+            up = ((d and 0x8000) | (c0 and 0x4000) | (c1 and 0x2000) | (c2 and 0x0800)
+                  | (c3 and 0x0080) | (c0 & c2 and 0x0400) | (c0 & c3 and 0x0040)
+                  | (c1 & c2 and 0x0200) | (c1 & c3 and 0x0020))
+            # every triple contains {0, 1} or {2, 3}
+            if c01:
+                up |= 0x1000 | (c01 & c2 and 0x0100) | (c01 & c3 and 0x0010)
+            if c23:
+                up |= 0x0008 | (c0 & c23 and 0x0004) | (c1 & c23 and 0x0002)
+        row = get(up | (m0 > 0) << 16 | (m1 > 0) << 17 | (m2 > 0) << 18 | (m3 > 0) << 19)
         if row:
             rows[m] = row
     return rows
@@ -255,11 +317,14 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     independent beta4 route: the rows with a beta4 must sit exactly at
     the lcms of the dominant quadruples.
     """
-    rows = key_rows(ideal.gens, enumerate_multidegrees(ideal, cap))
+    degrees = enumerate_multidegrees(ideal, cap)
+    # the lex-last lattice point is the lcm of all the generators
+    columns = generator_columns(ideal.gens, degrees[-1])
+    rows = key_rows(ideal.gens, degrees, columns)
     table = BettiTable.from_rows(rows, want_multigraded)
     # distinct lcms, as many as the beta4 column's sum and each on a row
     # with a beta4, are exactly the multidegrees with beta4 = 1
-    lcms = dominant_quadruples(ideal).lcms
+    lcms = dominant_quadruples(ideal, columns).lcms
     if (table.betti[1] != len(ideal.gens) or table.euler != ideal.is_zero
             or len(lcms) != table.betti[4] or not all(m in rows and rows[m][4] for m in lcms)):
         raise InternalInconsistency(

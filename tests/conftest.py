@@ -12,6 +12,7 @@ from hypothesis import settings
 import betti4
 from betti4.cli import sample_ideal
 from betti4.monomials import MonomialIdeal, minimalize
+from betti4.parsing import DEFAULT_EXP_CAP
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -38,6 +39,15 @@ def ideals(max_gens=6, max_exp=4):
     return st.lists(monomials(max_exp), min_size=1, max_size=max_gens).map(
         lambda gens: MonomialIdeal(minimalize(gens))
     )
+
+
+@st.composite
+def wide_ideals(draw, max_gens=8):
+    """Ideals with exponents up to DEFAULT_EXP_CAP, each variable under its
+    own drawn maximum, so columns of very different heights meet."""
+    caps = draw(st.tuples(*[st.integers(0, DEFAULT_EXP_CAP)] * 4))
+    exps = st.tuples(*(st.integers(0, cap) for cap in caps))
+    return MonomialIdeal(minimalize(draw(st.lists(exps, min_size=1, max_size=max_gens))))
 
 
 def permutations_of_4():

@@ -4,8 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import ideal_of, ideals, model_or_staircase, permutations_of_4, staircase
-from hypothesis import given, settings, strategies as st
+from conftest import ideal_of, ideals, model_or_staircase, permutations_of_4, staircase, wide_ideals
+from hypothesis import example, given, settings, strategies as st
 
 from betti4 import engine
 from betti4.atlas import ENTRIES, LABELED_CLASSES, AtlasEntry
@@ -24,6 +24,7 @@ from betti4.engine import (
     betti4,
     dominant_quadruples,
     full_table,
+    generator_columns,
     key_rows,
     pd_two_condition,
     upward_closure,
@@ -43,6 +44,7 @@ from betti4.monomials import (
     strongly_divides,
 )
 from betti4.multidegrees import enumerate_multidegrees
+from betti4.parsing import DEFAULT_EXP_CAP
 from betti4.twins import build_bundle
 
 COMPUTATIONS = ideal_of((2, 2, 0, 0), (2, 1, 1, 0), (0, 1, 1, 2), (0, 0, 2, 2))
@@ -256,9 +258,9 @@ def test_betti3_routes_agree(ideal):
 def test_betti3_euler_scans_the_dominant_quadruples_once(monkeypatch):
     calls = []
 
-    def counted(ideal):
+    def counted(ideal, columns=None):
         calls.append(ideal)
-        return dominant_quadruples(ideal)
+        return dominant_quadruples(ideal, columns)
 
     monkeypatch.setattr(engine, "dominant_quadruples", counted)
     value = betti3_euler(SECTION8)
@@ -266,18 +268,59 @@ def test_betti3_euler_scans_the_dominant_quadruples_once(monkeypatch):
     assert value == full_table(SECTION8).betti[3] == 24
 
 
-@given(MODEL_OR_STAIRCASE)
-def test_key_rows_match_the_reduction_pipeline(ideal):
-    # the bit-operation key at each lattice point names the key-table row
-    # of the squarefree twin the reduction pipeline builds there
+UNIT_IDEAL = MonomialIdeal((UNIT,))
+# exponents at the cap: one generator, and five with three dominant
+# quadruples whose lcms reach the cap
+ONE_AT_CAP = ideal_of((DEFAULT_EXP_CAP, 0, 3, 0))
+FIVE_AT_CAP = ideal_of((DEFAULT_EXP_CAP, 1, 0, 0), (0, DEFAULT_EXP_CAP, 0, 0), (0, 0, 0, DEFAULT_EXP_CAP),
+                       (1, 0, DEFAULT_EXP_CAP, 0), (2, 2, 0, 1))
+POINTS = st.lists(st.tuples(*[st.integers(0, DEFAULT_EXP_CAP + 2)] * 4), max_size=4)
+
+
+def _reference_row(ideal, m):
+    """The key-table row of the squarefree twin that the reduction
+    pipeline builds at m, or zero if its support is not that of m."""
+    bundle = build_bundle(ideal, m)
+    support, row = KEY_TABLE[upward_closure(bundle.squarefree.gens)]
+    return row if support == bundle.y_m else (0,) * 5
+
+
+@given(wide_ideals(), st.tuples(*[st.integers(0, 2)] * 4))
+@example(UNIT_IDEAL, (0, 0, 0, 0))
+@example(FIVE_AT_CAP, (0, 0, 0, 0))
+def test_generator_columns_match_their_definition(ideal, headroom):
+    top = tuple(t + h for t, h in zip(lcm_all(ideal.gens), headroom))
+    order, below, equal = generator_columns(ideal.gens, top)
+    assert order == sorted(ideal.gens, key=lambda g: (g[3], g))
+    everyone = (1 << len(order)) - 1
+    for j in range(4):
+        assert len(below[j]) == top[j] + 2 and len(equal[j]) == top[j] + 1
+        for v, col in enumerate(below[j]):
+            assert col == sum(1 << i for i, g in enumerate(order) if g[j] < v)
+        for v, col in enumerate(equal[j]):
+            assert col == sum(1 << i for i, g in enumerate(order) if g[j] == v > 0)
+        assert below[j][-1] == everyone and equal[j][0] == 0
+
+
+@given(st.one_of(MODEL_OR_STAIRCASE, wide_ideals()), POINTS)
+@example(UNIT_IDEAL, [])
+@example(ONE_AT_CAP, [(DEFAULT_EXP_CAP + 1, 0, 3, 0), (DEFAULT_EXP_CAP, 1, 3, 0)])
+@example(FIVE_AT_CAP, [])
+def test_key_rows_match_the_reduction_pipeline(ideal, points):
+    # the bit-operation key at each point names the key-table row of the
+    # squarefree twin the reduction pipeline builds there; besides the
+    # lattice, points lie above every generator in one variable
     degrees = enumerate_multidegrees(ideal, 40)
-    rows = key_rows(ideal.gens, degrees)
-    assert list(rows) == [m for m in degrees if m in rows]
-    zero = (0,) * 5
-    for m in degrees:
-        bundle = build_bundle(ideal, m)
-        support, row = KEY_TABLE[upward_closure(bundle.squarefree.gens)]
-        assert rows.get(m, zero) == (row if support == bundle.y_m else zero)
+    expected = {m: _reference_row(ideal, m) for m in degrees}
+    rows = full_table(ideal, want_multigraded=True, cap=40).multigraded
+    assert rows == {m: row for m, row in expected.items() if any(row)}
+    above = [tuple(t + (k == j) for k, t in enumerate(degrees[-1])) for j in range(4)]
+    extra = sorted(set(above + points) - set(degrees))
+    rows = key_rows(ideal.gens, degrees + tuple(extra))
+    assert list(rows) == [m for m in degrees + tuple(extra) if m in rows]
+    for m in extra:
+        expected[m] = _reference_row(ideal, m)
+    assert rows == {m: row for m, row in expected.items() if any(row)}
 
 
 def _saturated(ideal, m):
@@ -288,8 +331,8 @@ def _saturated(ideal, m):
 
 @given(MODEL_OR_STAIRCASE)
 def test_saturated_lattice_points_have_zero_rows(ideal):
-    # where key_rows stops its scan early, the key, the key table and
-    # the homology oracle must all give the zero row
+    # where a dividing generator has an empty twin mask, the key, the key
+    # table and the homology oracle must all give the zero row
     degrees = enumerate_multidegrees(ideal, 40)
     nonzero = key_rows(ideal.gens, degrees)
     for m in degrees:
@@ -324,7 +367,8 @@ def _dominant_quadruples_by_scan(ideal):
     return DominantQuadrupleClass(tuple(quads), tuple(sorted(lcms)))
 
 
-@given(MODEL_OR_STAIRCASE)
+@given(st.one_of(MODEL_OR_STAIRCASE, wide_ideals()))
+@example(FIVE_AT_CAP)
 def test_dominant_quadruples_match_the_subset_scan(ideal):
     assert dominant_quadruples(ideal) == _dominant_quadruples_by_scan(ideal)
 
@@ -347,7 +391,7 @@ def test_beta4_rows_off_the_dominant_quadruples_are_caught_at_runtime(monkeypatc
     # the two beta4 routes agree on the count here, not on the place
     lcms = dominant_quadruples(SECTION8).lcms
     moved = DominantQuadrupleClass((), lcms[:-1] + ((9, 9, 9, 9),))
-    monkeypatch.setattr(engine, "dominant_quadruples", lambda ideal: moved)
+    monkeypatch.setattr(engine, "dominant_quadruples", lambda ideal, columns=None: moved)
     with pytest.raises(InternalInconsistency, match="beta4 degrees"):
         full_table(SECTION8)
 
