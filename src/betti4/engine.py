@@ -12,12 +12,10 @@ paper's independent beta4 route and the runtime cross-check of the
 table's beta4 column; the Euler relation gives a second route to beta3.
 """
 
-from itertools import accumulate
 from operator import itemgetter
 
 from .atlas import ENTRIES, LABELED_CLASSES
 from .errors import InternalInconsistency, InvariantViolation, NegativeBetti
-from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
 from .tables import BettiTable
@@ -45,36 +43,52 @@ _NO_QUADRUPLES = DominantQuadrupleClass((), ())
 _X4 = itemgetter(3)
 
 
-def generator_columns(gens, top):
+def generator_columns(gens, degrees=()):
     """Per-variable bitset columns of the generators, one bit apiece.
 
-    Returns (order, below, equal).  Bit i stands for order[i]: the
-    generators sorted by x4, ties left in lex order.  below[j][v] holds
-    the generators with x_j < v, for v = 0..top_j + 1, and equal[j][v]
-    those with x_j == v > 0, for v = 0..top_j, so equal[j][0] is empty.
-    top must be a multiple of every generator; then below[j][top_j + 1]
-    holds them all.
+    Returns (order, upto, equal).  Bit i stands for order[i]: the
+    generators sorted by x4, ties left in lex order.  upto[j] and
+    equal[j] are dicts keyed by 0, every x_j exponent of the generators
+    and every x_j exponent of the degrees: upto[j][v] holds the
+    generators with x_j <= v and equal[j][v] those with x_j == v > 0,
+    so equal[j][0] is empty.  Their size follows the number of
+    generators and degrees, not the size of the exponents.  Every
+    coordinate of an lcm lattice point is 0 or a generator exponent, so
+    the lattice needs no degrees here.
     """
     order = sorted(gens, key=_X4)
-    t0, t1, t2, t3 = top
-    e0, e1, e2, e3 = [0] * (t0 + 1), [0] * (t1 + 1), [0] * (t2 + 1), [0] * (t3 + 1)
+    e0, e1, e2, e3 = {0: 0}, {0: 0}, {0: 0}, {0: 0}
+    for m0, m1, m2, m3 in degrees:
+        e0[m0] = e1[m1] = e2[m2] = e3[m3] = 0
     bit = 1
     for g0, g1, g2, g3 in order:
-        e0[g0] |= bit
-        e1[g1] |= bit
-        e2[g2] |= bit
-        e3[g3] |= bit
+        e0[g0] = e0.get(g0, 0) | bit
+        e1[g1] = e1.get(g1, 0) | bit
+        e2[g2] = e2.get(g2, 0) | bit
+        e3[g3] = e3.get(g3, 0) | bit
         bit <<= 1
-    # a generator sits in one entry of each column, so prefix sums are unions
-    below = ([0, *accumulate(e0)], [0, *accumulate(e1)], [0, *accumulate(e2)],
-             [0, *accumulate(e3)])
+    # a generator sits in one entry of each column, so running unions
+    # over the increasing keys are the upto sets; a loop per variable
+    # costs less than building each dict with calls
+    u0, u1, u2, u3 = {}, {}, {}, {}
+    run = 0
+    for v in sorted(e0):
+        run |= e0[v]
+        u0[v] = run
+    run = 0
+    for v in sorted(e1):
+        run |= e1[v]
+        u1[v] = run
+    run = 0
+    for v in sorted(e2):
+        run |= e2[v]
+        u2[v] = run
+    run = 0
+    for v in sorted(e3):
+        run |= e3[v]
+        u3[v] = run
     e0[0] = e1[0] = e2[0] = e3[0] = 0
-    return order, below, (e0, e1, e2, e3)
-
-
-def _columns_for(gens, degrees=()):
-    """generator_columns sized to the lcm of the generators and the degrees."""
-    return generator_columns(gens, tuple(map(max, zip(UNIT, *gens, *degrees))))
+    return order, (u0, u1, u2, u3), (e0, e1, e2, e3)
 
 
 def dominant_quadruples(ideal, columns=None):
@@ -85,42 +99,47 @@ def dominant_quadruples(ideal, columns=None):
     b -> x2, c -> x3, d -> x4 and its lcm is m = (a0, b1, c2, d3).  The
     loops build only such assignments: each later member lies below the
     earlier ones in their variables and above them in its own, so each
-    candidate set is an AND of generator_columns entries (the columns
-    are built here unless given), walked lowest bit first.  Every
-    exponent of m is positive, so g strongly divides m iff g < m in all
-    four variables; those g are the d candidates whose x4 exponent is
-    below d3.  So m survives iff d3 is the least x4 exponent among the
-    candidates, and every d attaining it shares the same m.  The bits
-    run in x4 order, so the lowest bit of the candidate set carries that
-    least exponent.  Fewer than four generators have no quadruple.
+    candidate set is an AND of generator_columns entries, walked lowest
+    bit first.  columns, if given, must be generator_columns(ideal.gens);
+    they are built here otherwise.  Every exponent of m is positive, so
+    g strongly divides m iff g < m in all four variables; those g are
+    the d candidates whose x4 exponent is below d3.  So m survives iff d3
+    is the least x4 exponent among the candidates, and every d attaining
+    it shares the same m.  The bits run in x4 order, so the lowest bit of
+    the candidate set carries that least exponent.  Fewer than four
+    generators have no quadruple.
     """
     gens = ideal.gens
     if len(gens) < 4:
         return _NO_QUADRUPLES
-    order, (lt0, lt1, lt2, _), (_, _, _, eq3) = columns or _columns_for(gens)
+    order, (le0, le1, le2, _), (eq0, eq1, eq2, eq3) = columns or generator_columns(gens)
     quads = []
     lcms = set()
+    # ~le_j[v] holds the generators with x_j > v and, as eq_j[v] lies in
+    # le_j[v], le_j[v] ^ eq_j[v] those with x_j < v; v is a generator
+    # exponent throughout, and positive wherever the second form is used
     for a in order:
         a0, a1, a2, a3 = a
-        below_a = lt0[a0]
-        # ~lt_j[v + 1] holds the generators with x_j > v
-        bs = below_a & ~lt1[a1 + 1]
+        if not a0:
+            continue
+        below_a = le0[a0] ^ eq0[a0]
+        bs = below_a & ~le1[a1]
         while bs:
             low = bs & -bs
             bs ^= low
             b = order[low.bit_length() - 1]
             b1 = b[1]
             # c and d need not exceed a in x2, so start from below_a, not bs
-            below_ab = below_a & lt1[b1]
+            below_ab = below_a & (le1[b1] ^ eq1[b1])
             c_floor = a2 if a2 > b[2] else b[2]
-            cs = below_ab & ~lt2[c_floor + 1]
+            cs = below_ab & ~le2[c_floor]
             d_floor = a3 if a3 > b[3] else b[3]
             while cs:
                 low = cs & -cs
                 cs ^= low
                 c = order[low.bit_length() - 1]
                 c2 = c[2]
-                ds = below_ab & lt2[c2]
+                ds = below_ab & (le2[c2] ^ eq2[c2])
                 if not ds:
                     continue
                 d3 = order[(ds & -ds).bit_length() - 1][3]
@@ -232,24 +251,32 @@ KEY_TABLE = _build_key_table(LABELED_CLASSES, ENTRIES)
 NONZERO_ROWS = {up | support << 16: row for up, (support, row) in KEY_TABLE.items() if any(row)}
 
 
-def key_rows(gens, degrees, columns=None):
+def key_rows(gens, degrees):
     """{m: row} for every multidegree m in degrees with a nonzero row.
 
     up is the upward closure of the twin masks of the generators that
     divide m: the twin mask of g has bit j set iff g_j == m_j > 0.  The
     row is the key table's for up if that family's support is supp(m),
-    else zero.  Each m costs the same few bit operations on
-    generator_columns (built here, sized to cover the degrees, unless
-    given), however many generators there are: four ANDs give the set d
-    of generators dividing m and four lookups the sets E_j of those with
-    g_j == m_j > 0.  Bit s of up is set iff some g in d has its mask
-    inside s, i.e. lies outside E_j for every variable j missing from s.
-    If some g in d has an empty mask, up holds all 16 masks, of empty
-    support, and m has the zero row unless m = 1 (the unit ideal).
+    else zero.  The degrees may lie anywhere, also outside the lcm
+    lattice: the generator_columns built here are keyed by their
+    exponents too.
     """
-    _, (lt0, lt1, lt2, lt3), (eq0, eq1, eq2, eq3) = columns or _columns_for(gens, degrees)
-    # le_j[v] holds the generators with x_j <= v
-    le0, le1, le2, le3 = lt0[1:], lt1[1:], lt2[1:], lt3[1:]
+    degrees = tuple(degrees)
+    return _rows_on_columns(generator_columns(gens, degrees), degrees)
+
+
+def _rows_on_columns(columns, degrees):
+    """key_rows on generator_columns keyed by every exponent of the degrees.
+
+    Each m costs the same few bit operations, however many generators
+    there are: four ANDs give the set d of generators dividing m and
+    four lookups the sets E_j of those with g_j == m_j > 0.  Bit s of up
+    is set iff some g in d has its mask inside s, i.e. lies outside E_j
+    for every variable j missing from s.  If some g in d has an empty
+    mask, up holds all 16 masks, of empty support, and m has the zero
+    row unless m = 1 (the unit ideal).
+    """
+    _, (le0, le1, le2, le3), (eq0, eq1, eq2, eq3) = columns
     get = NONZERO_ROWS.get
     full = UP[0]
     rows = {}
@@ -265,6 +292,9 @@ def key_rows(gens, degrees, columns=None):
         c01 = c0 & c1
         c23 = c2 & c3
         if c01 & c23:
+            # the full family has empty support, so only m = 1 has a row
+            if m0 or m1 or m2 or m3:
+                continue
             up = full
         else:
             up = ((d and 0x8000) | (c0 and 0x4000) | (c1 and 0x2000) | (c2 and 0x0800)
@@ -275,7 +305,7 @@ def key_rows(gens, degrees, columns=None):
                 up |= 0x1000 | (c01 & c2 and 0x0100) | (c01 & c3 and 0x0010)
             if c23:
                 up |= 0x0008 | (c0 & c23 and 0x0004) | (c1 & c23 and 0x0002)
-        row = get(up | (m0 > 0) << 16 | (m1 > 0) << 17 | (m2 > 0) << 18 | (m3 > 0) << 19)
+        row = get(up | (m0 and 0x10000) | (m1 and 0x20000) | (m2 and 0x40000) | (m3 and 0x80000))
         if row:
             rows[m] = row
     return rows
@@ -318,15 +348,16 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     the lcms of the dominant quadruples.
     """
     degrees = enumerate_multidegrees(ideal, cap)
-    # the lex-last lattice point is the lcm of all the generators
-    columns = generator_columns(ideal.gens, degrees[-1])
-    rows = key_rows(ideal.gens, degrees, columns)
+    # keyed by the generators' exponents and 0, the columns cover the lattice
+    columns = generator_columns(ideal.gens)
+    rows = _rows_on_columns(columns, degrees)
     table = BettiTable.from_rows(rows, want_multigraded)
     # distinct lcms, as many as the beta4 column's sum and each on a row
     # with a beta4, are exactly the multidegrees with beta4 = 1
     lcms = dominant_quadruples(ideal, columns).lcms
     if (table.betti[1] != len(ideal.gens) or table.euler != ideal.is_zero
-            or len(lcms) != table.betti[4] or not all(m in rows and rows[m][4] for m in lcms)):
+            or len(lcms) != table.betti[4]
+            or lcms and not all(m in rows and rows[m][4] for m in lcms)):
         raise InternalInconsistency(
             f"key-table totals {table.betti} break beta1 = q, the Euler relation or the "
             f"beta4 degrees of the dominant quadruples for {ideal.gens}"

@@ -82,6 +82,15 @@ def test_exponent_cap_flag(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_a_huge_exponent_cap_admits_huge_exponents(capsys, command):
+    # the exponent cap has no ceiling, and nothing is sized by an exponent
+    code, out, err = run(capsys, command, "--max-exp", "1000000000", "x1^1000000000, x2")
+    assert code == 0 and err == ""
+    if command == "betti":
+        assert "b0=1  b1=2  b2=1  b3=0  b4=0" in out
+
+
 def test_generator_cap_flag(capsys):
     gens = ", ".join(f"x1^{i + 1}*x2^{9 - i}" for i in range(9))
     code, _, err = run(capsys, "betti", "--max-gens", "4", gens)

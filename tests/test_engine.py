@@ -1,6 +1,7 @@
 """Formula pipeline: closed-form Betti numbers against fixtures and the oracle."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -285,21 +286,52 @@ def _reference_row(ideal, m):
     return row if support == bundle.y_m else (0,) * 5
 
 
-@given(wide_ideals(), st.tuples(*[st.integers(0, 2)] * 4))
-@example(UNIT_IDEAL, (0, 0, 0, 0))
-@example(FIVE_AT_CAP, (0, 0, 0, 0))
-def test_generator_columns_match_their_definition(ideal, headroom):
-    top = tuple(t + h for t, h in zip(lcm_all(ideal.gens), headroom))
-    order, below, equal = generator_columns(ideal.gens, top)
+@given(wide_ideals(), POINTS)
+@example(UNIT_IDEAL, [])
+@example(FIVE_AT_CAP, [(DEFAULT_EXP_CAP + 1, 0, 0, 0)])
+@example(ideal_of((10**9, 0, 0, 0), (0, 1, 0, 0)), [(10**9 + 1, 2, 0, 0)])
+def test_generator_columns_match_their_definition(ideal, degrees):
+    order, upto, equal = generator_columns(ideal.gens, degrees)
     assert order == sorted(ideal.gens, key=lambda g: (g[3], g))
     everyone = (1 << len(order)) - 1
     for j in range(4):
-        assert len(below[j]) == top[j] + 2 and len(equal[j]) == top[j] + 1
-        for v, col in enumerate(below[j]):
-            assert col == sum(1 << i for i, g in enumerate(order) if g[j] < v)
-        for v, col in enumerate(equal[j]):
-            assert col == sum(1 << i for i, g in enumerate(order) if g[j] == v > 0)
-        assert below[j][-1] == everyone and equal[j][0] == 0
+        keys = sorted({0, *(g[j] for g in ideal.gens), *(m[j] for m in degrees)})
+        assert sorted(upto[j]) == sorted(equal[j]) == keys
+        for v in keys:
+            assert upto[j][v] == sum(1 << i for i, g in enumerate(order) if g[j] <= v)
+            assert equal[j][v] == sum(1 << i for i, g in enumerate(order) if g[j] == v > 0)
+        assert upto[j][keys[-1]] == everyone and equal[j][0] == 0
+
+
+def _stretched(gens, factor):
+    return tuple(tuple(x * factor for x in g) for g in gens)
+
+
+@given(wide_ideals(), st.sampled_from([3, 10**9]))
+@example(FIVE_AT_CAP, 10**9)
+def test_tables_depend_on_the_order_of_exponents_not_their_size(ideal, factor):
+    # multiplying every exponent by one factor keeps their order, so the
+    # lattice and its rows move along and the totals stay
+    wide = MonomialIdeal(_stretched(ideal.gens, factor))
+    table = full_table(ideal, want_multigraded=True, cap=40)
+    stretched = full_table(wide, want_multigraded=True, cap=40)
+    assert stretched.betti == table.betti
+    assert stretched.multigraded == dict(zip(_stretched(table.multigraded, factor),
+                                             table.multigraded.values()))
+    quads = dominant_quadruples(ideal)
+    assert dominant_quadruples(wide) == DominantQuadrupleClass(
+        tuple(_stretched(q, factor) for q in quads.quadruples), _stretched(quads.lcms, factor))
+
+
+def test_huge_exponents_cost_no_more_than_small_ones():
+    # the columns are keyed by the exponents that occur, so an exponent
+    # of 10^9 sizes nothing
+    ideal = ideal_of((10**9, 0, 0, 0), (0, 10**9, 0, 0), (0, 0, 10**9, 1), (1, 1, 1, 10**9))
+    start = time.perf_counter()
+    table = full_table(ideal)
+    assert time.perf_counter() - start < 0.25
+    assert table.betti == full_table(ideal_of((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 1),
+                                              (1, 1, 1, 2))).betti
 
 
 @given(st.one_of(MODEL_OR_STAIRCASE, wide_ideals()), POINTS)
@@ -316,7 +348,7 @@ def test_key_rows_match_the_reduction_pipeline(ideal, points):
     assert rows == {m: row for m, row in expected.items() if any(row)}
     above = [tuple(t + (k == j) for k, t in enumerate(degrees[-1])) for j in range(4)]
     extra = sorted(set(above + points) - set(degrees))
-    rows = key_rows(ideal.gens, degrees + tuple(extra))
+    rows = key_rows(ideal.gens, iter(degrees + tuple(extra)))
     assert list(rows) == [m for m in degrees + tuple(extra) if m in rows]
     for m in extra:
         expected[m] = _reference_row(ideal, m)
