@@ -5,8 +5,9 @@ multidegree m depends only on the upward closure of its twin masks and
 on the support of m, and the 168 possible closures are tabulated at
 import, beta2 and beta3 from the shape weights, each checked against
 its atlas class.  full_table lays the generators out as bitset columns,
-walks the lcm lattice, keys each point with a fixed number of bit
-operations on those columns, looks its row up and sums the rows.  The
+walks the lcm lattice past its cones (points whose row is zero), keys
+each point with a fixed number of bit operations on those columns,
+looks its row up and sums the rows.  The
 dominant quadruples of generators, found on the same columns, are the
 paper's independent beta4 route and the runtime cross-check of the
 table's beta4 column; the Euler relation gives a second route to beta3.
@@ -341,14 +342,18 @@ def betti3_euler(ideal, cap=DEFAULT_GEN_CAP):
 def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     """Betti numbers beta0..beta4 as column sums of key-table rows.
 
-    Every row of the optional multigraded map is a key-table row.  The
+    The rows are read at the points enumerate_multidegrees returns: the
+    unit and the lcm-lattice points that are not cones.  A cone keys to
+    the full family of twin masks, whose row is zero, so the points left
+    out carry nothing.  Every row of the optional multigraded map is a
+    key-table row.  The
     totals are cross-checked against the generators (beta1 = q), the
     Euler characteristic (0, or 1 for the zero ideal) and the paper's
     independent beta4 route: the rows with a beta4 must sit exactly at
     the lcms of the dominant quadruples.
     """
     degrees = enumerate_multidegrees(ideal, cap)
-    # keyed by the generators' exponents and 0, the columns cover the lattice
+    # keyed by the generators' exponents and 0, the columns cover every lcm
     columns = generator_columns(ideal.gens)
     rows = _rows_on_columns(columns, degrees)
     table = BettiTable.from_rows(rows, want_multigraded)

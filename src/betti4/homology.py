@@ -198,13 +198,18 @@ def multigraded_oracle(ideal, b, field=RATIONALS):
 
 
 def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=False):
-    """Betti table of S/ideal by summing Koszul homology over all multidegrees.
+    """Betti table of S/ideal by summing Koszul homology over the multidegrees.
 
-    Each lattice point reads its row straight from the cached homology
-    profile, as multigraded_oracle does; only the unit and the points
-    with nonzero homology keep a row, and the totals are the column sums.
-    The zero and unit ideals need no branch: their lattice is the unit
-    alone, whose complex gives (1,0,0,0,0) and (1,1,0,0,0).
+    The multidegrees are those enumerate_multidegrees returns: the unit
+    and every lcm-lattice point b with x^(b - supp b) outside the ideal.
+    At the other lattice points the complex is the full simplex on
+    supp(b), which is acyclic, and off the lattice the homology vanishes
+    too, so no Betti number is lost.  Each point reads its row straight
+    from the cached homology profile, as multigraded_oracle does; only
+    the unit and the points with nonzero homology keep a row, and the
+    totals are the column sums.  The zero and unit ideals need no
+    branch: their only point is the unit, whose complex gives
+    (1,0,0,0,0) and (1,1,0,0,0).
 
     Only the homology depends on the field.  The lattice walk (which
     checks the cap on every call) and the Koszul face sets are each
@@ -214,7 +219,7 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
     """
     char = field.characteristic
     degrees = enumerate_multidegrees(ideal, cap)
-    # the lattice is lex-sorted, so the unit comes first
+    # the points are lex-sorted, so the unit comes first
     points = zip(degrees, _face_sets(ideal, degrees))
     b, bits = next(points)
     h = _homology_profile(bits, char)

@@ -11,7 +11,7 @@ from hypothesis import settings
 
 import betti4
 from betti4.cli import sample_ideal
-from betti4.monomials import MonomialIdeal, minimalize
+from betti4.monomials import UNIT, MonomialIdeal, lcm, minimalize
 from betti4.parsing import DEFAULT_EXP_CAP
 
 settings.register_profile("suite", deadline=None)
@@ -54,13 +54,33 @@ def permutations_of_4():
     return st.permutations(range(4)).map(tuple)
 
 
+def model_ideals():
+    """Ideals of the random model: at most 8 generators, exponent at most 4."""
+    return st.integers(0, 2**32).map(lambda seed: sample_ideal(random.Random(seed), 8, 4))
+
+
 def model_or_staircase(max_q=28):
-    """Random-model ideals (at most 8 generators, exponent at most 4) and
-    same-degree staircase antichains of up to max_q generators."""
+    """Random-model ideals and same-degree staircase antichains of up to
+    max_q generators."""
     return st.one_of(
-        st.integers(0, 2**32).map(lambda seed: sample_ideal(random.Random(seed), 8, 4)),
+        model_ideals(),
         st.builds(staircase, st.integers(1, max_q), st.integers(0, 2**32)),
     )
+
+
+def lcm_lattice(ideal):
+    """Reference: every distinct lcm of a subset of the generators, the
+    empty subset's 1 included, lex-sorted; cones are not left out."""
+    points = {UNIT}
+    for g in ideal.gens:
+        points |= {lcm(p, g) for p in points}
+    return tuple(sorted(points))
+
+
+def is_cone(ideal, m):
+    """True iff x^(m - supp m) lies in the ideal."""
+    below = tuple(x - 1 if x else 0 for x in m)
+    return any(all(h <= b for h, b in zip(g, below)) for g in ideal.gens)
 
 
 def _checkout_env():
@@ -76,11 +96,13 @@ def run_checkout(*argv, check=False):
                           env=_checkout_env(), timeout=60, check=check)
 
 
-def start_checkout(*argv):
+def start_checkout(*argv, stderr):
     """A new interpreter started with argv that imports this checkout's
-    betti4, as a Popen with text pipes for stdout and stderr."""
+    betti4, as a Popen with a text pipe for stdout; stderr goes to the
+    given file, so a child that only reports errors cannot block on a
+    full pipe while the caller waits for its stdout."""
     return subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True, env=_checkout_env())
+                            stderr=stderr, text=True, env=_checkout_env())
 
 
 def run_fresh_interpreter(code, *options):

@@ -11,7 +11,7 @@ import random
 import time
 from itertools import combinations
 
-from conftest import staircase
+from conftest import lcm_lattice, staircase
 
 from betti4.atlas import atlas_entries, canonicalize
 from betti4.engine import (
@@ -33,7 +33,6 @@ from betti4.monomials import (
     minimalize,
     support_mask,
 )
-from betti4.multidegrees import enumerate_multidegrees
 from betti4.cli import sample_ideal
 from betti4.parsing import parse_ideal
 from betti4.squarefree import SquarefreeIdeal, mask_monomial
@@ -194,7 +193,7 @@ def test_criterion_10_divisibility_transfer_on_500_pairs():
     rng = random.Random(1014)
     for _ in range(500):
         ideal = sample_ideal(rng, 8, 4)
-        m = rng.choice(list(enumerate_multidegrees(ideal)))
+        m = rng.choice(lcm_lattice(ideal))
         bundle = build_bundle(ideal, m)
         gens = bundle.restriction.gens
         images = [support_mask(t) for t in bundle.twin_images]

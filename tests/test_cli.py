@@ -411,11 +411,14 @@ def test_a_reader_that_stops_early_gets_no_traceback(tmp_path, argv):
     # printing when the reader closes its end
     path = tmp_path / "big.txt"
     path.write_text("x1*x2, x3, x4^2\n" * 5000, encoding="utf-8")
-    with start_checkout("-m", "betti4", *(arg.format(path=path) for arg in argv)) as proc:
+    with (tmp_path / "stderr.txt").open("w+", encoding="utf-8") as err_file, \
+            start_checkout("-m", "betti4", *(arg.format(path=path) for arg in argv),
+                           stderr=err_file) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
-        err = proc.stderr.read()
         code = proc.wait(timeout=60)
+        err_file.seek(0)
+        err = err_file.read()
     assert first.startswith(("ideal: ", "seed_index,"))
     assert code == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err

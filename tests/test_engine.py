@@ -5,7 +5,15 @@ import time
 from itertools import combinations
 
 import pytest
-from conftest import ideal_of, ideals, model_or_staircase, permutations_of_4, staircase, wide_ideals
+from conftest import (
+    ideal_of,
+    ideals,
+    lcm_lattice,
+    model_or_staircase,
+    permutations_of_4,
+    staircase,
+    wide_ideals,
+)
 from hypothesis import example, given, settings, strategies as st
 
 from betti4 import engine
@@ -341,8 +349,9 @@ def test_huge_exponents_cost_no_more_than_small_ones():
 def test_key_rows_match_the_reduction_pipeline(ideal, points):
     # the bit-operation key at each point names the key-table row of the
     # squarefree twin the reduction pipeline builds there; besides the
-    # lattice, points lie above every generator in one variable
-    degrees = enumerate_multidegrees(ideal, 40)
+    # whole lcm lattice, cones included, points lie above every generator
+    # in one variable
+    degrees = lcm_lattice(ideal)
     expected = {m: _reference_row(ideal, m) for m in degrees}
     rows = full_table(ideal, want_multigraded=True, cap=40).multigraded
     assert rows == {m: row for m, row in expected.items() if any(row)}
@@ -364,23 +373,27 @@ def _saturated(ideal, m):
 @given(MODEL_OR_STAIRCASE)
 def test_saturated_lattice_points_have_zero_rows(ideal):
     # where a dividing generator has an empty twin mask, the key, the key
-    # table and the homology oracle must all give the zero row
-    degrees = enumerate_multidegrees(ideal, 40)
+    # table and the homology oracle must all give the zero row, and the
+    # lattice walk leaves the point out
+    degrees = lcm_lattice(ideal)
+    walked = set(enumerate_multidegrees(ideal, 40))
     nonzero = key_rows(ideal.gens, degrees)
     for m in degrees:
         if not _saturated(ideal, m):
             continue
         assert upward_closure(build_bundle(ideal, m).squarefree.gens) == UP[0]
-        assert m not in nonzero
+        assert m not in nonzero and m not in walked
         for field in ALL_FIELDS:
             assert multigraded_oracle(ideal, m, field)[1:] == (0, 0, 0, 0)
 
 
 def test_most_staircase_lattice_points_are_saturated():
     ideal = staircase(24, 5)
-    degrees = enumerate_multidegrees(ideal, 40)
+    degrees = lcm_lattice(ideal)
     saturated = sum(_saturated(ideal, m) for m in degrees)
     assert saturated > len(degrees) // 2
+    # the lattice walk keeps the others only
+    assert enumerate_multidegrees(ideal, 40) == tuple(m for m in degrees if not _saturated(ideal, m))
 
 
 def _dominant_quadruples_by_scan(ideal):

@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import pytest
-from conftest import ideal_of, ideals
+from conftest import ideal_of, ideals, is_cone, lcm_lattice, model_ideals, model_or_staircase, staircase
 from hypothesis import given
 
+from betti4.engine import full_table
 from betti4.errors import GeneratorCapExceeded
+from betti4.homology import ALL_FIELDS, oracle_betti
 from betti4.monomials import UNIT, MonomialIdeal, lcm_all
 from betti4.multidegrees import enumerate_multidegrees
 
@@ -21,6 +25,14 @@ def test_known_multidegree_set():
     assert set(degrees) == expected
     assert (2, 2, 1, 0) in degrees
     assert (1, 1, 1, 1) not in degrees
+
+
+def test_cones_are_left_out():
+    # lcm(x1^2, x2^2) = x1^2 x2^2 is a cone: x1 x2 lies below it in both variables
+    ideal = ideal_of((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0))
+    assert set(lcm_lattice(ideal)) - set(enumerate_multidegrees(ideal)) == {(2, 2, 0, 0)}
+    assert enumerate_multidegrees(ideal) == (
+        UNIT, (0, 2, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0), (2, 0, 0, 0), (2, 1, 0, 0))
 
 
 def test_zero_and_unit_ideals():
@@ -61,18 +73,46 @@ def test_memo_holds_the_most_recent_lattice_only():
 
 
 @given(ideals())
+def test_lattice_reference_is_every_subset_lcm(ideal):
+    subsets = (s for k in range(len(ideal.gens) + 1) for s in combinations(ideal.gens, k))
+    assert lcm_lattice(ideal) == tuple(sorted({lcm_all(s) for s in subsets}))
+
+
+@given(ideals() | model_or_staircase())
 def test_multidegrees_are_exactly_the_subset_lcms(ideal):
-    degrees = enumerate_multidegrees(ideal)
-    seen = set(degrees)
-    # every generator and the empty lcm appear
-    assert UNIT in seen
-    assert set(ideal.gens) <= seen
-    # closed under lcm, and each member is recovered by its divisor set
-    for a in seen:
-        for g in ideal.gens:
-            assert lcm_all([a, g]) in seen
-    for m in seen:
-        assert lcm_all(g for g in ideal.gens if all(x <= y for x, y in zip(g, m))) == m
+    # the subset lcms that are not cones, and the unit
+    expected = {UNIT} | {m for m in lcm_lattice(ideal) if not is_cone(ideal, m)}
+    assert enumerate_multidegrees(ideal, 40) == tuple(sorted(expected))
+
+
+def _alternating_sums(rows):
+    """{m: sum of (-1)^i beta_i at m}, zero sums left out."""
+    sums = {m: row[0] - row[1] + row[2] - row[3] + row[4] for m, row in rows.items()}
+    return {m: s for m, s in sums.items() if s}
+
+
+@given(model_ideals())
+def test_alternating_row_sums_are_the_taylor_sums(ideal):
+    # the Taylor complex has a basis element of degree lcm(S) in
+    # homological degree |S| for every subset S, so the alternating sum of
+    # the Betti numbers at m counts those subsets with sign (-1)^|S|; no
+    # lattice walk is involved, so a point either walk loses is seen here
+    taylor = {}
+    for k in range(len(ideal.gens) + 1):
+        for subset in combinations(ideal.gens, k):
+            m = lcm_all(subset)
+            taylor[m] = taylor.get(m, 0) + (-1) ** k
+    taylor = {m: s for m, s in taylor.items() if s}
+    assert _alternating_sums(full_table(ideal, want_multigraded=True).multigraded) == taylor
+    for field in ALL_FIELDS:
+        assert _alternating_sums(oracle_betti(ideal, field, want_multigraded=True).multigraded) == taylor
+
+
+def test_routes_agree_on_a_hundred_generator_staircase():
+    ideal = staircase(100, 13)
+    table = full_table(ideal, cap=100)
+    assert table.betti == oracle_betti(ideal, cap=100).betti
+    assert table.betti[4] > 0
 
 
 @given(ideals())
