@@ -15,7 +15,6 @@ from .errors import (
     InputUnreadable,
     InternalInconsistency,
     InvariantViolation,
-    NegativeBetti,
     NotInAtlas,
     ParseError,
     RestrictionViolation,
@@ -61,9 +60,6 @@ _LAZY = {
     "atlas_records": "atlas",
     "canonicalize": "atlas",
     "lookup_multigraded": "atlas",
-    "betti2_formula": "engine",
-    "betti3_euler": "engine",
-    "betti3_formula": "engine",
     "betti4": "engine",
     "dominant_quadruples": "engine",
     "full_table": "engine",
@@ -97,7 +93,6 @@ __all__ = [
     "InvariantViolation",
     "MonomialIdeal",
     "NUM_VARS",
-    "NegativeBetti",
     "NotInAtlas",
     "ParseError",
     "RATIONALS",
@@ -109,9 +104,6 @@ __all__ = [
     "VariableOutOfRange",
     "atlas_entries",
     "atlas_records",
-    "betti2_formula",
-    "betti3_euler",
-    "betti3_formula",
     "betti4",
     "build_bundle",
     "canonicalize",

@@ -5,62 +5,39 @@ multidegree m depends only on the upward closure of its twin masks and
 on the support of m, and the 168 possible closures are tabulated at
 import, beta2 and beta3 from the shape weights, each checked against
 its atlas class.  full_table lays the generators out as bitset columns,
-walks the lcm lattice past its cones (points whose row is zero), keys
-each point with a fixed number of bit operations on those columns,
-looks its row up and sums the rows.  The
-dominant quadruples of generators, found on the same columns, are the
-paper's independent beta4 route and the runtime cross-check of the
-table's beta4 column; the Euler relation gives a second route to beta3.
+keys each point of the lattice walk (the unit and the lcm-lattice
+points that are not cones) with a fixed number of bit operations on
+those columns, looks its row up and sums the rows.  The distinct lcms
+of the dominant generator quadruples, found on the same columns, are
+the paper's independent beta4 route and the runtime cross-check of the
+table's beta4 column.
 """
 
 from operator import itemgetter
 
 from .atlas import ENTRIES, LABELED_CLASSES
-from .errors import InternalInconsistency, InvariantViolation, NegativeBetti
+from .errors import InternalInconsistency
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
 from .tables import BettiTable
-from .values import Value, set_field
 
 
-class DominantQuadrupleClass(Value):
-    """4-element dominant subsets whose lcm no generator strongly divides.
-
-    quadruples holds each one lex-sorted, all in lex order; lcms holds
-    their distinct lcms, lex-sorted.
-    """
-
-    __slots__ = ("quadruples", "lcms")
-
-    def __init__(self, quadruples, lcms):
-        for quad in quadruples:
-            if len(quad) != 4:
-                raise InvariantViolation(f"a dominant quadruple has {len(quad)} members: {quad}")
-        set_field(self, "quadruples", quadruples)
-        set_field(self, "lcms", lcms)
-
-
-_NO_QUADRUPLES = DominantQuadrupleClass((), ())
 _X4 = itemgetter(3)
 
 
-def generator_columns(gens, degrees=()):
+def generator_columns(gens):
     """Per-variable bitset columns of the generators, one bit apiece.
 
     Returns (order, upto, equal).  Bit i stands for order[i]: the
     generators sorted by x4, ties left in lex order.  upto[j] and
-    equal[j] are dicts keyed by 0, every x_j exponent of the generators
-    and every x_j exponent of the degrees: upto[j][v] holds the
-    generators with x_j <= v and equal[j][v] those with x_j == v > 0,
-    so equal[j][0] is empty.  Their size follows the number of
-    generators and degrees, not the size of the exponents.  Every
-    coordinate of an lcm lattice point is 0 or a generator exponent, so
-    the lattice needs no degrees here.
+    equal[j] are dicts keyed by 0 and every x_j exponent of the
+    generators, which are all the coordinates an lcm-lattice point can
+    have: upto[j][v] holds the generators with x_j <= v and equal[j][v]
+    those with x_j == v > 0, so equal[j][0] is empty.  Their size
+    follows the number of generators, not the size of the exponents.
     """
     order = sorted(gens, key=_X4)
     e0, e1, e2, e3 = {0: 0}, {0: 0}, {0: 0}, {0: 0}
-    for m0, m1, m2, m3 in degrees:
-        e0[m0] = e1[m1] = e2[m2] = e3[m3] = 0
     bit = 1
     for g0, g1, g2, g3 in order:
         e0[g0] = e0.get(g0, 0) | bit
@@ -93,28 +70,30 @@ def generator_columns(gens, degrees=()):
 
 
 def dominant_quadruples(ideal, columns=None):
-    """Collect the quadruples behind the fourth Betti number.
+    """The lcms behind the fourth Betti number, distinct and lex-sorted.
 
-    In a dominant quadruple every member is the unique column maximum of
-    one variable, so the quadruple has exactly one assignment a -> x1,
-    b -> x2, c -> x3, d -> x4 and its lcm is m = (a0, b1, c2, d3).  The
-    loops build only such assignments: each later member lies below the
-    earlier ones in their variables and above them in its own, so each
-    candidate set is an AND of generator_columns entries, walked lowest
-    bit first.  columns, if given, must be generator_columns(ideal.gens);
-    they are built here otherwise.  Every exponent of m is positive, so
-    g strongly divides m iff g < m in all four variables; those g are
-    the d candidates whose x4 exponent is below d3.  So m survives iff d3
-    is the least x4 exponent among the candidates, and every d attaining
-    it shares the same m.  The bits run in x4 order, so the lowest bit of
-    the candidate set carries that least exponent.  Fewer than four
-    generators have no quadruple.
+    A dominant quadruple of generators survives when no generator
+    strongly divides its lcm, and beta4 counts the distinct lcms of the
+    survivors.  In a dominant quadruple every member is the unique
+    column maximum of one variable, so the quadruple has exactly one
+    assignment a -> x1, b -> x2, c -> x3, d -> x4 and its lcm is
+    m = (a0, b1, c2, d3).  The loops build only such assignments: each
+    later member lies below the earlier ones in their variables and
+    above them in its own, so each candidate set is an AND of
+    generator_columns entries, walked lowest bit first.  columns, if
+    given, must be generator_columns(ideal.gens); they are built here
+    otherwise.  Every exponent of m is positive, so g strongly divides
+    m iff g < m in all four variables; those g are the d candidates
+    whose x4 exponent is below d3.  So m survives iff d3 is the least
+    x4 exponent among the candidates, and every d attaining it gives
+    the same m, so only that least exponent is read.  The bits run in
+    x4 order, so the lowest bit of the candidate set carries it.  Fewer
+    than four generators have no quadruple.
     """
     gens = ideal.gens
     if len(gens) < 4:
-        return _NO_QUADRUPLES
-    order, (le0, le1, le2, _), (eq0, eq1, eq2, eq3) = columns or generator_columns(gens)
-    quads = []
+        return ()
+    order, (le0, le1, le2, _), (eq0, eq1, eq2, _) = columns or generator_columns(gens)
     lcms = set()
     # ~le_j[v] holds the generators with x_j > v and, as eq_j[v] lies in
     # le_j[v], le_j[v] ^ eq_j[v] those with x_j < v; v is a generator
@@ -144,21 +123,14 @@ def dominant_quadruples(ideal, columns=None):
                 if not ds:
                     continue
                 d3 = order[(ds & -ds).bit_length() - 1][3]
-                if d3 <= d_floor or d3 <= c[3]:
-                    continue
-                lcms.add((a0, b1, c2, d3))
-                ds &= eq3[d3]
-                while ds:
-                    low = ds & -ds
-                    ds ^= low
-                    quads.append(tuple(sorted((a, b, c, order[low.bit_length() - 1]))))
-    quads.sort()
-    return DominantQuadrupleClass(tuple(quads), tuple(sorted(lcms)))
+                if d3 > d_floor and d3 > c[3]:
+                    lcms.add((a0, b1, c2, d3))
+    return tuple(sorted(lcms))
 
 
 def betti4(ideal):
     """Fourth Betti number: distinct lcms of the surviving dominant quadruples."""
-    return len(dominant_quadruples(ideal).lcms)
+    return len(dominant_quadruples(ideal))
 
 
 def _shape_weights(sq):
@@ -252,34 +224,24 @@ KEY_TABLE = _build_key_table(LABELED_CLASSES, ENTRIES)
 NONZERO_ROWS = {up | support << 16: row for up, (support, row) in KEY_TABLE.items() if any(row)}
 
 
-def key_rows(gens, degrees):
+def _rows_on_columns(columns, degrees):
     """{m: row} for every multidegree m in degrees with a nonzero row.
 
-    up is the upward closure of the twin masks of the generators that
-    divide m: the twin mask of g has bit j set iff g_j == m_j > 0.  The
-    row is the key table's for up if that family's support is supp(m),
-    else zero.  The degrees may lie anywhere, also outside the lcm
-    lattice: the generator_columns built here are keyed by their
-    exponents too.
-    """
-    degrees = tuple(degrees)
-    return _rows_on_columns(generator_columns(gens, degrees), degrees)
-
-
-def _rows_on_columns(columns, degrees):
-    """key_rows on generator_columns keyed by every exponent of the degrees.
-
-    Each m costs the same few bit operations, however many generators
-    there are: four ANDs give the set d of generators dividing m and
-    four lookups the sets E_j of those with g_j == m_j > 0.  Bit s of up
-    is set iff some g in d has its mask inside s, i.e. lies outside E_j
-    for every variable j missing from s.  If some g in d has an empty
-    mask, up holds all 16 masks, of empty support, and m has the zero
-    row unless m = 1 (the unit ideal).
+    columns is generator_columns(gens), which covers every coordinate
+    of the lcm lattice.  up is the upward closure of the twin masks of
+    the generators that divide m: the twin mask of g has bit j set iff
+    g_j == m_j > 0.  The row is the key table's for up if that family's
+    support is supp(m), else zero.  Each m costs the same few bit
+    operations, however many generators there are: four ANDs give the
+    set d of generators dividing m and four lookups the sets E_j of
+    those with g_j == m_j > 0.  Bit s of up is set iff some g in d has
+    its mask inside s, i.e. lies outside E_j for every variable j
+    missing from s.  Bit 0 (the empty mask) is set iff some g in d lies
+    outside every E_j; then up holds all 16 masks, of empty support, so
+    m has the zero row unless m = 1 (the unit ideal).
     """
     _, (le0, le1, le2, le3), (eq0, eq1, eq2, eq3) = columns
     get = NONZERO_ROWS.get
-    full = UP[0]
     rows = {}
     for m in degrees:
         m0, m1, m2, m3 = m
@@ -292,51 +254,18 @@ def _rows_on_columns(columns, degrees):
         c3 = d & ~eq3[m3]
         c01 = c0 & c1
         c23 = c2 & c3
-        if c01 & c23:
-            # the full family has empty support, so only m = 1 has a row
-            if m0 or m1 or m2 or m3:
-                continue
-            up = full
-        else:
-            up = ((d and 0x8000) | (c0 and 0x4000) | (c1 and 0x2000) | (c2 and 0x0800)
-                  | (c3 and 0x0080) | (c0 & c2 and 0x0400) | (c0 & c3 and 0x0040)
-                  | (c1 & c2 and 0x0200) | (c1 & c3 and 0x0020))
-            # every triple contains {0, 1} or {2, 3}
-            if c01:
-                up |= 0x1000 | (c01 & c2 and 0x0100) | (c01 & c3 and 0x0010)
-            if c23:
-                up |= 0x0008 | (c0 & c23 and 0x0004) | (c1 & c23 and 0x0002)
+        up = ((d and 0x8000) | (c0 and 0x4000) | (c1 and 0x2000) | (c2 and 0x0800)
+              | (c3 and 0x0080) | (c0 & c2 and 0x0400) | (c0 & c3 and 0x0040)
+              | (c1 & c2 and 0x0200) | (c1 & c3 and 0x0020) | (c01 & c23 and 0x0001))
+        # every triple contains {0, 1} or {2, 3}
+        if c01:
+            up |= 0x1000 | (c01 & c2 and 0x0100) | (c01 & c3 and 0x0010)
+        if c23:
+            up |= 0x0008 | (c0 & c23 and 0x0004) | (c1 & c23 and 0x0002)
         row = get(up | (m0 and 0x10000) | (m1 and 0x20000) | (m2 and 0x40000) | (m3 and 0x80000))
         if row:
             rows[m] = row
     return rows
-
-
-def betti2_formula(ideal, cap=DEFAULT_GEN_CAP):
-    """Second Betti number: the beta2 column of the key-table rows."""
-    return full_table(ideal, cap=cap).betti[2]
-
-
-def betti3_formula(ideal, cap=DEFAULT_GEN_CAP):
-    """Third Betti number: the beta3 column of the key-table rows."""
-    return full_table(ideal, cap=cap).betti[3]
-
-
-def betti3_euler(ideal, cap=DEFAULT_GEN_CAP):
-    """Third Betti number from the Euler characteristic of the resolution.
-
-    beta2 and beta4 are read from one full_table, whose beta4 column is
-    already checked against the dominant quadruples' lcms.  The walk
-    comes first, as on the other routes, so a cap the ideal exceeds
-    raises GeneratorCapExceeded even for the zero ideal.
-    """
-    betti = full_table(ideal, cap=cap).betti
-    if ideal.is_zero:
-        raise ValueError("the Euler route needs at least one generator")
-    value = 1 + betti[2] + betti[4] - len(ideal.gens)
-    if value < 0:
-        raise NegativeBetti(f"beta3 = {value} for generators {ideal.gens}")
-    return value
 
 
 def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
@@ -346,11 +275,12 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     unit and the lcm-lattice points that are not cones.  A cone keys to
     the full family of twin masks, whose row is zero, so the points left
     out carry nothing.  Every row of the optional multigraded map is a
-    key-table row.  The
-    totals are cross-checked against the generators (beta1 = q), the
-    Euler characteristic (0, or 1 for the zero ideal) and the paper's
-    independent beta4 route: the rows with a beta4 must sit exactly at
-    the lcms of the dominant quadruples.
+    key-table row.  The totals are cross-checked against the generators
+    (beta1 = q), the Euler characteristic (0, or 1 for the zero ideal)
+    and the paper's independent beta4 route: the rows with a beta4 must
+    sit exactly at the lcms of the dominant quadruples.  Together the
+    first two give beta3 = 1 + beta2 + beta4 - q for every ideal with
+    a generator.
     """
     degrees = enumerate_multidegrees(ideal, cap)
     # keyed by the generators' exponents and 0, the columns cover every lcm
@@ -359,7 +289,7 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     table = BettiTable.from_rows(rows, want_multigraded)
     # distinct lcms, as many as the beta4 column's sum and each on a row
     # with a beta4, are exactly the multidegrees with beta4 = 1
-    lcms = dominant_quadruples(ideal, columns).lcms
+    lcms = dominant_quadruples(ideal, columns)
     if (table.betti[1] != len(ideal.gens) or table.euler != ideal.is_zero
             or len(lcms) != table.betti[4]
             or lcms and not all(m in rows and rows[m][4] for m in lcms)):

@@ -30,10 +30,6 @@ class NotInAtlas(Betti4Error):
     """
 
 
-class NegativeBetti(Betti4Error):
-    """An assembled Betti number came out negative (mathematically impossible)."""
-
-
 class InternalInconsistency(Betti4Error):
     """Two redundant computation paths disagree."""
 

@@ -115,6 +115,30 @@ def test_routes_agree_on_a_hundred_generator_staircase():
     assert table.betti[4] > 0
 
 
+class _CountedGens(tuple):
+    """Generators that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_walk_tests_far_fewer_points_than_the_lattice_holds():
+    # the lcm lattice of this staircase has 62,645 points (too slow to
+    # rebuild here), most of them cones; the walk grows lcms from live
+    # points only, so it tests a fraction of them, one pass over the
+    # generators per test besides its outer loop
+    gens = _CountedGens(staircase(100, 13).gens)
+    ideal = MonomialIdeal(gens)
+    gens.passes = 0
+    enumerate_multidegrees.cache_clear()
+    walked = enumerate_multidegrees(ideal, 100)
+    tests = gens.passes - 1
+    assert len(walked) <= tests < 62_645 // 2
+
+
 @given(ideals())
 def test_degrees_sorted_and_deduplicated(ideal):
     degrees = enumerate_multidegrees(ideal)

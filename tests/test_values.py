@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from betti4.atlas import ENTRIES, AtlasEntry, CanonicalForm, canonicalize
-from betti4.engine import DominantQuadrupleClass, dominant_quadruples
 from betti4.errors import InvariantViolation
 from betti4.homology import FieldSpec, SimplicialComplex
 from betti4.monomials import MonomialIdeal
@@ -25,8 +24,6 @@ CASES = {
     "SimplicialComplex": (lambda: SimplicialComplex(0b111), lambda: SimplicialComplex(1)),
     "FieldSpec": (lambda: FieldSpec(), lambda: FieldSpec(2)),
     "SquarefreeIdeal": (lambda: SquarefreeIdeal((3, 4)), lambda: SquarefreeIdeal((3,))),
-    "DominantQuadrupleClass": (lambda: dominant_quadruples(MonomialIdeal(KOSZUL)),
-                               lambda: DominantQuadrupleClass((), ())),
     "AtlasEntry": (lambda: AtlasEntry(5, (1, 2, 4, 8), 15, 0, 0), lambda: ENTRIES[6]),
     "CanonicalForm": (lambda: CanonicalForm(3, (0, 1, 2, 3), (1, 2)),
                       lambda: CanonicalForm(3, (2, 3, 0, 1), (1, 2))),
@@ -114,8 +111,6 @@ def test_from_rows_sums_the_columns_once_and_checks_the_rows():
 
 
 def test_validated_constructors_keep_their_errors():
-    with pytest.raises(InvariantViolation, match="a dominant quadruple has 3 members"):
-        DominantQuadrupleClass((KOSZUL[:3],), ())
     with pytest.raises(InvariantViolation, match="masks must be ascending and distinct"):
         SquarefreeIdeal((4, 3))
     with pytest.raises(InvariantViolation, match="bad mask 16"):
