@@ -34,13 +34,8 @@ from .monomials import (
     UNIT,
     MonomialIdeal,
     divides,
-    dominant_generators,
-    is_dominant,
     lcm,
-    lcm_all,
     minimalize,
-    semidominance,
-    strongly_divides,
     support_mask,
 )
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
@@ -108,14 +103,11 @@ __all__ = [
     "build_bundle",
     "canonicalize",
     "divides",
-    "dominant_generators",
     "dominant_quadruples",
     "enumerate_multidegrees",
     "full_table",
-    "is_dominant",
     "koszul_complex",
     "lcm",
-    "lcm_all",
     "lookup_multigraded",
     "mask_monomial",
     "mask_string",
@@ -126,10 +118,8 @@ __all__ = [
     "pd_two_condition",
     "reduced_homology_rank",
     "restrict",
-    "semidominance",
     "shape_descriptor",
     "squarefree_twin",
-    "strongly_divides",
     "support_mask",
     "twin",
 ]

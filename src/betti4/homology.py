@@ -11,7 +11,6 @@ usable as an oracle for all of them.
 from functools import lru_cache
 
 from .errors import InternalInconsistency, InvariantViolation
-from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .tables import BettiTable
 from .values import Value, set_field
@@ -186,17 +185,6 @@ def reduced_homology_rank(complex_, dim, field=RATIONALS):
     return _homology_profile(complex_.face_bits, field.characteristic)[dim + 1]
 
 
-def multigraded_oracle(ideal, b, field=RATIONALS):
-    """Graded Betti numbers (degrees 0..4) of S/ideal at one degree b.
-
-    Degrees 1..4 come from homology in dimensions -1..2; degree 0 is 1
-    at the constant degree by convention and 0 elsewhere.
-    """
-    profile = _homology_profile(koszul_complex(ideal, b).face_bits, field.characteristic)
-    head = 1 if b == UNIT else 0
-    return (head, profile[0], profile[1], profile[2], profile[3])
-
-
 def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=False):
     """Betti table of S/ideal by summing Koszul homology over the multidegrees.
 
@@ -205,11 +193,10 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
     At the other lattice points the complex is the full simplex on
     supp(b), which is acyclic, and off the lattice the homology vanishes
     too, so no Betti number is lost.  Each point reads its row straight
-    from the cached homology profile, as multigraded_oracle does; only
-    the unit and the points with nonzero homology keep a row, and the
-    totals are the column sums.  The zero and unit ideals need no
-    branch: their only point is the unit, whose complex gives
-    (1,0,0,0,0) and (1,1,0,0,0).
+    from the cached homology profile; only the unit and the points with
+    nonzero homology keep a row, and the totals are the column sums.
+    The zero and unit ideals need no branch: their only point is the
+    unit, whose complex gives (1,0,0,0,0) and (1,1,0,0,0).
 
     Only the homology depends on the field.  The lattice walk (which
     checks the cap on every call) and the Koszul face sets are each

@@ -2,6 +2,12 @@
 
 A monomial is a plain 4-tuple of non-negative exponents for x1..x4.
 Plain tuples keep the subset walks in the rest of the package cheap.
+This module holds what a run computes with: lcm, divisibility, support
+masks and minimal generating sets.  Dominance, semidominance and strong
+divisibility are computed where the formulas read them, on masks in
+squarefree.shape_descriptor and on bit columns in
+engine.dominant_quadruples; their definition-level versions on exponent
+tuples are test references.
 """
 
 from operator import lt
@@ -25,26 +31,9 @@ def lcm(a, b):
     )
 
 
-def lcm_all(monomials):
-    """lcm of an iterable of monomials; the constant monomial if empty."""
-    out = UNIT
-    for m in monomials:
-        out = lcm(out, m)
-    return out
-
-
 def divides(a, b):
     """True iff a divides b, i.e. a_i <= b_i for every variable."""
     return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2] and a[3] <= b[3]
-
-
-def strongly_divides(a, b):
-    """True iff a_i < b_i for every variable that occurs in a.
-
-    Stronger than plain divisibility on the support of a; the condition
-    is vacuously true for the constant monomial.
-    """
-    return all(x == 0 or x < y for x, y in zip(a, b))
 
 
 def support_mask(m):
@@ -117,48 +106,3 @@ def minimalize(gens):
         else:
             kept.append(m)
     return tuple(kept)
-
-
-def dominant_members(gens):
-    """The members of a generating set that dominate it.
-
-    A monomial dominates the set when some variable's exponent in it
-    strictly exceeds that variable's exponent in every other member,
-    i.e. it is the unique column maximum for some variable.
-    """
-    gens = tuple(gens)
-    if len(gens) <= 1:
-        return gens
-    out = set()
-    for i in range(NUM_VARS):
-        col = [g[i] for g in gens]
-        top = max(col)
-        if col.count(top) == 1:
-            out.add(gens[col.index(top)])
-    return tuple(sorted(out))
-
-
-def dominant_generators(ideal):
-    """The dominant generators of an ideal."""
-    if not ideal.gens:
-        raise ValueError("the zero ideal has no generators to classify")
-    return dominant_members(ideal.gens)
-
-
-def semidominance(ideal):
-    """Number p of nondominant generators; p = 0 iff the ideal is dominant."""
-    return len(ideal.gens) - len(dominant_generators(ideal))
-
-
-def is_dominant(ideal):
-    return semidominance(ideal) == 0
-
-
-def permute_monomial(m, perm):
-    """Relabel variables: new slot i takes the exponent of old slot perm[i]."""
-    return (m[perm[0]], m[perm[1]], m[perm[2]], m[perm[3]])
-
-
-def permute_ideal(ideal, perm):
-    """Apply a variable permutation to every generator."""
-    return MonomialIdeal(minimalize(permute_monomial(g, perm) for g in ideal.gens))

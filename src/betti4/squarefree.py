@@ -49,12 +49,6 @@ class SquarefreeIdeal(Value):
         return iter(self.gens)
 
 
-def minimalize_masks(masks):
-    """Reduce a set of masks to the minimal generating set, as a sorted tuple."""
-    pool = sorted(set(masks))
-    return tuple(m for m in pool if not any(o != m and o & m == o for o in pool))
-
-
 def mask_monomial(mask):
     """The 0/1 exponent vector of a mask, for feeding masks back into monomial code."""
     return tuple(mask >> i & 1 for i in range(4))

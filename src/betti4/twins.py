@@ -10,18 +10,19 @@ squarefree image at the support of m.
 
 from .errors import IllFormedTwin, RestrictionViolation
 from .monomials import MonomialIdeal, divides, minimalize, support_mask
-from .squarefree import SquarefreeIdeal, minimalize_masks
+from .squarefree import SquarefreeIdeal
 from .values import Value, set_field
 
 
 def restrict(ideal, m):
     """Subideal generated by the generators dividing m.
 
-    A subset of a minimal generating set is still minimal, so nothing
-    is dropped beyond the non-divisors; the result can be the zero
-    ideal when no generator divides m.
+    A subsequence of a lex-sorted minimal generating set is still
+    lex-sorted and minimal, so the divisors go to the constructor as
+    they are; the result can be the zero ideal when no generator
+    divides m.
     """
-    return MonomialIdeal(minimalize(g for g in ideal.gens if divides(g, m)))
+    return MonomialIdeal(tuple(g for g in ideal.gens if divides(g, m)))
 
 
 def _twin_images(gens, m):
@@ -48,7 +49,9 @@ def squarefree_twin(twin_ideal, m):
 
     Every nonzero exponent must agree with m's exponent for its
     variable; otherwise the generators have no consistent squarefree
-    reading and the input was not a genuine twin.
+    reading and the input was not a genuine twin.  Once it has one,
+    divisibility among the generators is inclusion of their masks, so
+    a minimal twin ideal reads as distinct, minimal masks.
     """
     for g in twin_ideal.gens:
         for j in range(4):
@@ -56,7 +59,7 @@ def squarefree_twin(twin_ideal, m):
                 raise IllFormedTwin(
                     f"generator {g} uses x{j + 1}^{g[j]} but the multidegree fixes x{j + 1}^{m[j]}"
                 )
-    masks = minimalize_masks(support_mask(g) for g in twin_ideal.gens)
+    masks = tuple(sorted(support_mask(g) for g in twin_ideal.gens))
     return SquarefreeIdeal(masks), support_mask(m)
 
 

@@ -1,0 +1,87 @@
+"""Definition-level references for the paper's notions, for the tests.
+
+The package computes dominance, semidominance and strong divisibility
+only where its formulas read them: on masks in
+squarefree.shape_descriptor and on bit columns in
+engine.dominant_quadruples.  The versions here follow the definitions
+word for word, on exponent tuples, so the tests can check the fast ones
+against them.  multigraded_oracle reads its ranks through the public
+reduced_homology_rank, not the oracle's own profile path.
+"""
+
+from betti4.homology import RATIONALS, koszul_complex, reduced_homology_rank
+from betti4.monomials import NUM_VARS, UNIT, MonomialIdeal, lcm, minimalize
+
+
+def lcm_all(monomials):
+    """lcm of an iterable of monomials; the constant monomial if empty."""
+    out = UNIT
+    for m in monomials:
+        out = lcm(out, m)
+    return out
+
+
+def strongly_divides(a, b):
+    """True iff a_i < b_i for every variable that occurs in a.
+
+    Stronger than plain divisibility on the support of a; the condition
+    is vacuously true for the constant monomial.
+    """
+    return all(x == 0 or x < y for x, y in zip(a, b))
+
+
+def dominant_members(gens):
+    """The members of a generating set that dominate it.
+
+    A monomial dominates the set when some variable's exponent in it
+    strictly exceeds that variable's exponent in every other member,
+    i.e. it is the unique column maximum for some variable.
+    """
+    gens = tuple(gens)
+    if len(gens) <= 1:
+        return gens
+    out = set()
+    for i in range(NUM_VARS):
+        col = [g[i] for g in gens]
+        top = max(col)
+        if col.count(top) == 1:
+            out.add(gens[col.index(top)])
+    return tuple(sorted(out))
+
+
+def dominant_generators(ideal):
+    """The dominant generators of an ideal."""
+    if not ideal.gens:
+        raise ValueError("the zero ideal has no generators to classify")
+    return dominant_members(ideal.gens)
+
+
+def semidominance(ideal):
+    """Number p of nondominant generators; p = 0 iff the ideal is dominant."""
+    return len(ideal.gens) - len(dominant_generators(ideal))
+
+
+def is_dominant(ideal):
+    return semidominance(ideal) == 0
+
+
+def permute_monomial(m, perm):
+    """Relabel variables: new slot i takes the exponent of old slot perm[i]."""
+    return (m[perm[0]], m[perm[1]], m[perm[2]], m[perm[3]])
+
+
+def permute_ideal(ideal, perm):
+    """Apply a variable permutation to every generator."""
+    return MonomialIdeal(minimalize(permute_monomial(g, perm) for g in ideal.gens))
+
+
+def multigraded_oracle(ideal, b, field=RATIONALS):
+    """Graded Betti numbers (degrees 0..4) of S/ideal at one degree b.
+
+    Degrees 1..4 are the reduced homology ranks of the Koszul complex at
+    b in dimensions -1..2; degree 0 is 1 at the constant degree by
+    convention and 0 elsewhere.
+    """
+    complex_ = koszul_complex(ideal, b)
+    head = 1 if b == UNIT else 0
+    return (head, *(reduced_homology_rank(complex_, dim, field) for dim in range(-1, 3)))

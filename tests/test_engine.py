@@ -15,6 +15,15 @@ from conftest import (
     wide_ideals,
 )
 from hypothesis import example, given, settings, strategies as st
+from reference import (
+    dominant_members,
+    is_dominant,
+    lcm_all,
+    multigraded_oracle,
+    permute_ideal,
+    permute_monomial,
+    strongly_divides,
+)
 
 from betti4 import engine
 from betti4.atlas import ENTRIES, LABELED_CLASSES, AtlasEntry
@@ -35,19 +44,8 @@ from betti4.engine import (
     upward_closure,
 )
 from betti4.errors import GeneratorCapExceeded, InternalInconsistency, InvariantViolation
-from betti4.homology import ALL_FIELDS, multigraded_oracle, oracle_betti
-from betti4.monomials import (
-    UNIT,
-    MonomialIdeal,
-    divides,
-    dominant_members,
-    is_dominant,
-    lcm,
-    lcm_all,
-    permute_ideal,
-    permute_monomial,
-    strongly_divides,
-)
+from betti4.homology import ALL_FIELDS, oracle_betti
+from betti4.monomials import UNIT, MonomialIdeal, divides, lcm
 from betti4.multidegrees import enumerate_multidegrees
 from betti4.parsing import DEFAULT_EXP_CAP
 from betti4.twins import build_bundle

@@ -1,6 +1,7 @@
 import pytest
 from conftest import ideal_of, ideals, lcm_lattice, model_or_staircase, run_fresh_interpreter, staircase
 from hypothesis import given, strategies as st
+from reference import multigraded_oracle
 
 from betti4.errors import InvariantViolation
 from betti4.homology import (
@@ -13,7 +14,6 @@ from betti4.homology import (
     _homology_profile,
     _interned_complex,
     koszul_complex,
-    multigraded_oracle,
     oracle_betti,
     reduced_homology_rank,
 )

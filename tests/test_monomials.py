@@ -3,6 +3,16 @@ from itertools import combinations
 import pytest
 from conftest import ideal_of, ideals, monomials, permutations_of_4
 from hypothesis import example, given, strategies as st
+from reference import (
+    dominant_generators,
+    dominant_members,
+    is_dominant,
+    lcm_all,
+    permute_ideal,
+    permute_monomial,
+    semidominance,
+    strongly_divides,
+)
 
 from betti4.errors import InvariantViolation
 from betti4.monomials import (
@@ -10,16 +20,8 @@ from betti4.monomials import (
     UNIT,
     MonomialIdeal,
     divides,
-    dominant_generators,
-    dominant_members,
-    is_dominant,
     lcm,
-    lcm_all,
     minimalize,
-    permute_ideal,
-    permute_monomial,
-    semidominance,
-    strongly_divides,
     support_mask,
 )
 

@@ -3,11 +3,12 @@ from itertools import combinations
 import pytest
 from conftest import ideal_of, ideals, is_cone, lcm_lattice, model_ideals, model_or_staircase, staircase
 from hypothesis import given
+from reference import lcm_all
 
 from betti4.engine import full_table
 from betti4.errors import GeneratorCapExceeded
 from betti4.homology import ALL_FIELDS, oracle_betti
-from betti4.monomials import UNIT, MonomialIdeal, lcm_all
+from betti4.monomials import UNIT, MonomialIdeal
 from betti4.multidegrees import enumerate_multidegrees
 
 

@@ -78,10 +78,17 @@ def test_numbers_are_ascii_digits_only():
 
 
 def _identifiers(tree):
-    """(line, name) of every name a tree binds, reads, imports or defines."""
+    """(line, name) of every name a tree binds, reads, imports or defines.
+
+    A bare annotation (a field declaration such as ``count: int`` in a
+    NamedTuple) binds nothing, so its target is not one of them.
+    """
+    declared = {id(node.target) for node in ast.walk(tree)
+                if isinstance(node, ast.AnnAssign) and node.value is None}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.lineno, node.id
+            if id(node) not in declared:
+                yield node.lineno, node.id
         elif isinstance(node, ast.Attribute):
             yield node.lineno, node.attr
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -97,7 +104,11 @@ def test_each_derived_fact_has_one_owner():
     # keeps one index (the brute-force relabeling search lives in the
     # tests), every Betti row comes from the key table through one pass
     # over the walked points, with no second lattice scan or per-column
-    # sum, and beta4's cross-check holds the quadruples' lcms alone
+    # sum, and beta4's cross-check holds the quadruples' lcms alone;
+    # dominance, semidominance and strong divisibility are computed on
+    # masks and bit columns only, their definitions on exponent tuples
+    # (and the oracle's per-point row) are test references, and a twin
+    # ideal's masks are read as they are, with no second minimalization
     found = []
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -109,11 +120,64 @@ def test_each_derived_fact_has_one_owner():
         for line, ident in _identifiers(tree):
             if ident in ("_least_form", "_CANONICAL_INDEX", "lattice_keys", "_formula_counts",
                          "key_rows", "betti2_formula", "betti3_formula", "betti3_euler",
-                         "NegativeBetti", "DominantQuadrupleClass"):
+                         "NegativeBetti", "DominantQuadrupleClass", "lcm_all", "strongly_divides",
+                         "dominant_members", "dominant_generators", "semidominance", "is_dominant",
+                         "permute_monomial", "permute_ideal", "multigraded_oracle",
+                         "minimalize_masks"):
                 found.append(f"{name}:{line}: {ident}")
             elif ident == "projective_dimension" and name != "tables.py":
                 found.append(f"{name}:{line}: {ident} outside tables.py")
     assert found == []
+
+
+def _uses(node):
+    """Every name a subtree reads or binds, and every attribute it names."""
+    return {ident for _, ident in _identifiers(node)}
+
+
+def test_every_top_level_name_is_reachable():
+    # a top-level function, class or assigned name must be public, the
+    # console entry point, a hook the interpreter calls (a dunder), or
+    # used by code that is: module-level code (right-hand sides and
+    # bare statements) runs at import and roots what it uses; imports
+    # are not uses. Names resolve by spelling, across modules.
+    bodies = {}
+    used = set(betti4.__all__) | {"entry"}
+    for name, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies[name, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for ident in _uses(target):
+                        bodies[name, ident] = None
+                if node.value is not None:
+                    used |= _uses(node.value)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                used |= _uses(node)
+    used |= {ident for _, ident in bodies if ident.startswith("__") and ident.endswith("__")}
+    done = set()
+    while True:
+        live = [key for key in bodies if key[1] in used and key not in done]
+        if not live:
+            break
+        for key in live:
+            done.add(key)
+            if bodies[key] is not None:
+                used |= _uses(bodies[key])
+    assert sorted(f"{name}:{ident}" for name, ident in bodies if ident not in used) == []
+
+
+def test_star_import_yields_every_public_name():
+    # a fresh interpreter, so the lazy names are resolved by the star
+    # import itself; a stale __all__ entry would raise there
+    probe = textwrap.dedent("""
+        import betti4 as package
+        from betti4 import *
+        print(len(package.__all__) == len(set(package.__all__)))
+        print(sorted(name for name in package.__all__ if name not in globals()))
+    """)
+    assert run_fresh_interpreter(probe).splitlines() == ["True", "[]"]
 
 
 def test_invariants_hold_under_python_O():

@@ -1,10 +1,11 @@
 import pytest
 from conftest import ideal_of, ideals, lcm_lattice
 from hypothesis import given, strategies as st
+from reference import lcm_all
 
 from betti4.errors import IllFormedTwin, RestrictionViolation
 from betti4.homology import koszul_complex, reduced_homology_rank
-from betti4.monomials import MonomialIdeal, divides, lcm, lcm_all, support_mask
+from betti4.monomials import MonomialIdeal, divides, lcm, support_mask
 from betti4.squarefree import mask_monomial
 from betti4.twins import build_bundle, restrict, squarefree_twin, twin
 
@@ -38,6 +39,22 @@ def test_squarefree_twin_reads_attained_variables():
     twin_ideal = ideal_of((3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0))
     sq, y_m = squarefree_twin(twin_ideal, (3, 2, 1, 2))
     assert sq.gens == (0b0001, 0b0010, 0b0100)
+    assert y_m == 0b1111
+
+
+@pytest.mark.parametrize("m, gens, masks", [
+    # images x1^2 x2^3, x1^2, x1^2 x2^3 x3: x1^2 divides the other two
+    ((2, 3, 1, 4), ((2, 3, 0, 1), (2, 0, 0, 3), (2, 3, 1, 0)), (0b0001,)),
+    # images x1^2 x2^3 (twice) and x1^2 x3^2
+    ((2, 3, 2, 4), ((2, 3, 1, 0), (2, 3, 0, 1), (2, 0, 2, 3)), (0b0011, 0b0101)),
+], ids=["nested-images", "repeated-image"])
+def test_squarefree_twin_of_a_twin_has_minimal_masks(m, gens, masks):
+    # the twin images repeat or divide each other; once twin() has
+    # minimalized them, their masks are distinct and minimal as read
+    restriction = ideal_of(*gens)
+    assert restriction.gens == tuple(sorted(gens))
+    sq, y_m = squarefree_twin(twin(restriction, m), m)
+    assert sq.gens == masks
     assert y_m == 0b1111
 
 
