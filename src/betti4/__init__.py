@@ -11,13 +11,11 @@ from .errors import (
     Betti4Error,
     ExponentCapExceeded,
     GeneratorCapExceeded,
-    IllFormedTwin,
     InputUnreadable,
     InternalInconsistency,
     InvariantViolation,
     NotInAtlas,
     ParseError,
-    RestrictionViolation,
     VariableOutOfRange,
 )
 from .homology import (
@@ -42,7 +40,7 @@ from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .parsing import DEFAULT_EXP_CAP, parse_ideal
 from .squarefree import SquarefreeIdeal, mask_monomial, mask_string, parse_mask, shape_descriptor
 from .tables import BettiTable
-from .twins import TwinBundle, build_bundle, restrict, squarefree_twin, twin
+from .twins import TwinBundle, build_bundle
 
 __version__ = "0.1.0"
 
@@ -55,7 +53,6 @@ _LAZY = {
     "atlas_records": "atlas",
     "canonicalize": "atlas",
     "lookup_multigraded": "atlas",
-    "betti4": "engine",
     "dominant_quadruples": "engine",
     "full_table": "engine",
     "pd_two_condition": "engine",
@@ -82,7 +79,6 @@ __all__ = [
     "ExponentCapExceeded",
     "FieldSpec",
     "GeneratorCapExceeded",
-    "IllFormedTwin",
     "InputUnreadable",
     "InternalInconsistency",
     "InvariantViolation",
@@ -91,7 +87,6 @@ __all__ = [
     "NotInAtlas",
     "ParseError",
     "RATIONALS",
-    "RestrictionViolation",
     "SimplicialComplex",
     "SquarefreeIdeal",
     "TwinBundle",
@@ -99,7 +94,6 @@ __all__ = [
     "VariableOutOfRange",
     "atlas_entries",
     "atlas_records",
-    "betti4",
     "build_bundle",
     "canonicalize",
     "divides",
@@ -117,9 +111,6 @@ __all__ = [
     "parse_mask",
     "pd_two_condition",
     "reduced_homology_rank",
-    "restrict",
     "shape_descriptor",
-    "squarefree_twin",
     "support_mask",
-    "twin",
 ]

@@ -128,18 +128,13 @@ def dominant_quadruples(ideal, columns=None):
     return tuple(sorted(lcms))
 
 
-def betti4(ideal):
-    """Fourth Betti number: distinct lcms of the surviving dominant quadruples."""
-    return len(dominant_quadruples(ideal))
-
-
 def _shape_weights(sq):
     """(beta2, beta3) weight of one multidegree's squarefree reduction.
 
     The caller has already checked that the reduction's lcm fills the
     whole support of the multidegree; shapes not listed weigh nothing.
     """
-    count, degrees, p, _ = shape_descriptor(sq)
+    count, degrees, p = shape_descriptor(sq)
     b2 = b3 = 0
     if count == 2:
         b2 = 1

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is a Betti4Error: input from outside the program that cannot
+be read or breaks a cap, a value built from data that breaks its
+invariant, or two redundant computations that disagree.  The twin
+reduction has none of its own: inside build_bundle every restricted
+generator divides m and every twin exponent is m's or 0 by construction.
+"""
 
 
 class Betti4Error(Exception):
@@ -8,18 +15,6 @@ class Betti4Error(Exception):
 class GeneratorCapExceeded(Betti4Error):
     """More generators than the cap; raised only by enumerate_multidegrees,
     the lattice walk that the formula route and the oracle both run first."""
-
-
-class RestrictionViolation(Betti4Error):
-    """A generator does not divide the multidegree it was restricted to."""
-
-
-class IllFormedTwin(Betti4Error):
-    """A claimed twin ideal has no consistent squarefree rewrite.
-
-    Genuine twin ideals never trigger this; seeing it means an upstream
-    bug or a hand-built input like (x1*x2, x2^2*x3^2, x3*x4^3).
-    """
 
 
 class NotInAtlas(Betti4Error):

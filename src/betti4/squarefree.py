@@ -80,8 +80,7 @@ class Shape(NamedTuple):
 
     count: int
     degrees: tuple  # sorted multiset of generator degrees
-    semidominance: int
-    dominant: bool
+    semidominance: int  # 0 iff the ideal is dominant
 
 
 def dominant_mask_members(gens):
@@ -101,9 +100,9 @@ def dominant_mask_members(gens):
 
 
 def shape_descriptor(ideal):
-    """(generator count, degree multiset, semidominance, dominance flag)."""
+    """(generator count, degree multiset, semidominance)."""
     gens = ideal.gens
     count = len(gens)
     degrees = tuple(sorted(m.bit_count() for m in gens))
     p = count - len(dominant_mask_members(gens))
-    return Shape(count, degrees, p, p == 0)
+    return Shape(count, degrees, p)

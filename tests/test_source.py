@@ -6,6 +6,7 @@ import textwrap
 from pathlib import Path
 
 from conftest import run_fresh_interpreter
+from mutants import MUTANTS
 
 import betti4
 
@@ -107,8 +108,10 @@ def test_each_derived_fact_has_one_owner():
     # sum, and beta4's cross-check holds the quadruples' lcms alone;
     # dominance, semidominance and strong divisibility are computed on
     # masks and bit columns only, their definitions on exponent tuples
-    # (and the oracle's per-point row) are test references, and a twin
-    # ideal's masks are read as they are, with no second minimalization
+    # (and the oracle's per-point row) are test references, a twin
+    # ideal's masks are read as they are, with no second minimalization,
+    # and the twin reduction is build_bundle alone, with no public steps
+    # or guards against input that only a hand-built twin could give
     found = []
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -123,7 +126,8 @@ def test_each_derived_fact_has_one_owner():
                          "NegativeBetti", "DominantQuadrupleClass", "lcm_all", "strongly_divides",
                          "dominant_members", "dominant_generators", "semidominance", "is_dominant",
                          "permute_monomial", "permute_ideal", "multigraded_oracle",
-                         "minimalize_masks"):
+                         "minimalize_masks", "restrict", "squarefree_twin", "_twin_images",
+                         "IllFormedTwin", "RestrictionViolation"):
                 found.append(f"{name}:{line}: {ident}")
             elif ident == "projective_dimension" and name != "tables.py":
                 found.append(f"{name}:{line}: {ident} outside tables.py")
@@ -170,14 +174,26 @@ def test_every_top_level_name_is_reachable():
 
 def test_star_import_yields_every_public_name():
     # a fresh interpreter, so the lazy names are resolved by the star
-    # import itself; a stale __all__ entry would raise there
+    # import itself; a stale __all__ entry would raise there, and no
+    # public name may rebind the package's own name in the importer
     probe = textwrap.dedent("""
-        import betti4 as package
+        import betti4
         from betti4 import *
-        print(len(package.__all__) == len(set(package.__all__)))
-        print(sorted(name for name in package.__all__ if name not in globals()))
+        print(type(betti4).__name__)
+        print(len(betti4.__all__) == len(set(betti4.__all__)))
+        print(sorted(name for name in betti4.__all__ if name not in globals()))
     """)
-    assert run_fresh_interpreter(probe).splitlines() == ["True", "[]"]
+    assert run_fresh_interpreter(probe).splitlines() == ["module", "True", "[]"]
+
+
+def test_every_mutant_snippet_occurs_exactly_once():
+    # tests/mutants.py replays each mutant by exact replacement, so a
+    # snippet that the source no longer holds, or holds twice, is stale
+    package = Path(betti4.__file__).parent
+    found = [f"{name}: {file} holds it {count} times"
+             for name, (file, snippet, _, _) in MUTANTS.items()
+             if (count := (package / file).read_text(encoding="utf-8").count(snippet)) != 1]
+    assert found == []
 
 
 def test_invariants_hold_under_python_O():

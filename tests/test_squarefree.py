@@ -61,18 +61,17 @@ def test_support():
 def test_shape_descriptor():
     # two edges sharing a vertex: both have a private bit
     shape = shape_descriptor(SquarefreeIdeal((0b0011, 0b0101)))
-    assert shape == (2, (2, 2), 0, True)
+    assert shape == (2, (2, 2), 0)
 
     # triangle of edges: no private bits anywhere
     shape = shape_descriptor(SquarefreeIdeal((0b0011, 0b0101, 0b0110)))
     assert shape.count == 3
     assert shape.semidominance == 3
-    assert not shape.dominant
 
     # a vertex and the opposite edge both dominate
     shape = shape_descriptor(SquarefreeIdeal((0b0001, 0b0110)))
     assert shape.degrees == (1, 2)
-    assert shape.dominant
+    assert shape.semidominance == 0
 
 
 def test_dominant_mask_members_single_generator():

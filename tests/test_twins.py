@@ -3,11 +3,10 @@ from conftest import ideal_of, ideals, lcm_lattice
 from hypothesis import given, strategies as st
 from reference import lcm_all
 
-from betti4.errors import IllFormedTwin, RestrictionViolation
 from betti4.homology import koszul_complex, reduced_homology_rank
 from betti4.monomials import MonomialIdeal, divides, lcm, support_mask
 from betti4.squarefree import mask_monomial
-from betti4.twins import build_bundle, restrict, squarefree_twin, twin
+from betti4.twins import build_bundle
 
 
 @pytest.fixture
@@ -20,7 +19,7 @@ def five_gen_ideal():
 
 def test_restriction_keeps_divisors_only(five_gen_ideal):
     m = (3, 2, 1, 2)  # x1^3 x2^2 x3 x4^2
-    restriction = restrict(five_gen_ideal, m)
+    restriction = build_bundle(five_gen_ideal, m).restriction
     assert restriction.gens == (
         (0, 1, 1, 2), (2, 1, 1, 0), (2, 2, 0, 0), (3, 0, 0, 0)
     )
@@ -28,18 +27,16 @@ def test_restriction_keeps_divisors_only(five_gen_ideal):
 
 def test_twin_keeps_attained_exponents_and_minimalizes(five_gen_ideal):
     m = (3, 2, 1, 2)
-    restriction = restrict(five_gen_ideal, m)
     # images: x1^3; x2^2 (x1^2 falls short of 3); x3 (x2 falls short); x3 x4^2
     # and x3 divides x3 x4^2, so the twin has three generators
-    assert twin(restriction, m).gens == ((0, 0, 1, 0), (0, 2, 0, 0), (3, 0, 0, 0))
+    assert build_bundle(five_gen_ideal, m).twin.gens == ((0, 0, 1, 0), (0, 2, 0, 0), (3, 0, 0, 0))
 
 
-def test_squarefree_twin_reads_attained_variables():
+def test_squarefree_twin_reads_attained_variables(five_gen_ideal):
     # twin generators x1^3, x2^2, x3 at m = x1^3 x2^2 x3 x4^2
-    twin_ideal = ideal_of((3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0))
-    sq, y_m = squarefree_twin(twin_ideal, (3, 2, 1, 2))
-    assert sq.gens == (0b0001, 0b0010, 0b0100)
-    assert y_m == 0b1111
+    bundle = build_bundle(five_gen_ideal, (3, 2, 1, 2))
+    assert bundle.squarefree.gens == (0b0001, 0b0010, 0b0100)
+    assert bundle.y_m == 0b1111
 
 
 @pytest.mark.parametrize("m, gens, masks", [
@@ -49,27 +46,12 @@ def test_squarefree_twin_reads_attained_variables():
     ((2, 3, 2, 4), ((2, 3, 1, 0), (2, 3, 0, 1), (2, 0, 2, 3)), (0b0011, 0b0101)),
 ], ids=["nested-images", "repeated-image"])
 def test_squarefree_twin_of_a_twin_has_minimal_masks(m, gens, masks):
-    # the twin images repeat or divide each other; once twin() has
+    # the twin images repeat or divide each other; once the twin has
     # minimalized them, their masks are distinct and minimal as read
-    restriction = ideal_of(*gens)
-    assert restriction.gens == tuple(sorted(gens))
-    sq, y_m = squarefree_twin(twin(restriction, m), m)
-    assert sq.gens == masks
-    assert y_m == 0b1111
-
-
-def test_restriction_violation():
-    with pytest.raises(RestrictionViolation):
-        twin(ideal_of((2, 0, 0, 0)), (1, 1, 1, 1))
-
-
-def test_ill_formed_twin_is_rejected():
-    # x1 x2, x2^2 x3^2, x3 x4^3: x2 and x3 each appear with two different
-    # exponents, so no multidegree makes every nonzero exponent attained
-    ideal = ideal_of((1, 1, 0, 0), (0, 2, 2, 0), (0, 0, 1, 3))
-    m = lcm_all(ideal.gens)
-    with pytest.raises(IllFormedTwin):
-        squarefree_twin(ideal, m)
+    bundle = build_bundle(ideal_of(*gens), m)
+    assert bundle.restriction.gens == tuple(sorted(gens))
+    assert bundle.squarefree.gens == masks
+    assert bundle.y_m == 0b1111
 
 
 def test_bundle_matches_worked_example():
@@ -95,7 +77,7 @@ def test_bundle_matches_worked_example():
 @given(ideals(), st.data())
 def test_restriction_lcm_recovers_genuine_multidegrees(ideal, data):
     m = data.draw(st.sampled_from(lcm_lattice(ideal)))
-    restriction = restrict(ideal, m)
+    restriction = build_bundle(ideal, m).restriction
     assert lcm_all(restriction.gens) == m
     for g in restriction.gens:
         assert divides(g, m)
