@@ -2,18 +2,19 @@
 
 Usage, from the root of a checkout:
 
-    python3 tests/mutants.py [--timeout SECONDS] [--out matrix.json] [NAME ...]
+    python3 tests/mutants.py [--out matrix.json]
 
 Each mutant in MUTANTS replaces one exact snippet of one source file.
-For each mutant (all of them, or the named ones) src/ is copied to a
-temporary directory and mutated there, so the checkout is never
-touched.  The tests expected to kill the mutant run first, then the
-whole tier-1 suite, each as one child process with the mutated copy
-first on the module path, one at a time and each under the timeout.
-The matrix, written as JSON, gives each mutant's status: "killed"
-(with the tests that failed in each run), "survived" or "timed out".
-The file name does not match test_*.py, so the suite does not collect
-it; tests/test_source.py checks that every snippet still occurs
+For each mutant src/ is copied to a temporary directory and mutated
+there, so the checkout is never touched.  The tests expected to kill
+the mutant run first, then the whole tier-1 suite, each as one child
+process with the mutated copy first on the module path, one at a time
+and each under TIMEOUT.  The matrix, written as JSON, gives each
+mutant's status: "killed" (with the tests that failed in each run),
+"survived", "timed out", or "runner error" when pytest stopped before
+any test could fail (an unknown test id, say).  The file name does not
+match test_*.py, so the suite does not collect it; tests/test_source.py
+checks through stale_snippets() that every snippet still occurs
 exactly once.
 """
 
@@ -31,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "betti4"
+TIMEOUT = 300  # seconds for each pytest run
 
 ACCEPTANCE = "tests/test_acceptance.py::"
 CENSUS = ACCEPTANCE + "test_criterion_14_both_routes_give_the_key_row_at_every_point_configuration"
@@ -111,12 +113,26 @@ MUTANTS = {
 _REPORTED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$")
 
 
-def run_tests(src, tests, timeout):
-    """(failed test ids, timed out) of one pytest run against src.
+def stale_snippets():
+    """Mutants whose snippet does not occur exactly once in src/betti4.
 
-    The child gets its own process group, so a timeout also stops the
-    interpreters the tests start.  A run that fails without naming a
-    test reports its exit status in place of one.
+    It reads the checkout, not the imported package, which is the
+    mutated copy while a mutant runs.
+    """
+    return [f"{name}: {file} holds the snippet {count} times"
+            for name, (file, snippet, _, _) in MUTANTS.items()
+            if (count := (PACKAGE / file).read_text(encoding="utf-8").count(snippet)) != 1]
+
+
+def run_tests(src, tests):
+    """(failed test ids, problem) of one pytest run against src.
+
+    problem is None, "timed out", or the exit status of a run that
+    pytest stopped without a failing test (2 interrupted, 3 internal
+    error, 4 usage error such as an unknown test id, 5 no tests
+    collected); such a run kills nothing.  The child gets its own
+    process group, so a timeout also stops the interpreters the tests
+    start.
     """
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
@@ -124,18 +140,18 @@ def run_tests(src, tests, timeout):
     child = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE,
                              stderr=subprocess.STDOUT, text=True, start_new_session=True)
     try:
-        out, _ = child.communicate(timeout=timeout)
+        out, _ = child.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
         child.communicate()
-        return [], True
+        return [], "timed out"
     failed = [match.group(1) for match in map(_REPORTED.match, out.splitlines()) if match]
-    if child.returncode and not failed:
-        failed = [f"pytest exit status {child.returncode}"]
-    return failed, False
+    if child.returncode == 0 or child.returncode == 1 and failed:
+        return failed, None
+    return [], f"pytest exit status {child.returncode}"
 
 
-def run_mutant(name, timeout):
+def run_mutant(name):
     """One row of the kill matrix."""
     file, snippet, replacement, expected = MUTANTS[name]
     started = time.perf_counter()
@@ -145,43 +161,40 @@ def run_mutant(name, timeout):
         target = src / "betti4" / file
         target.write_text(target.read_text(encoding="utf-8").replace(snippet, replacement),
                           encoding="utf-8")
-        by_expected, expected_timed_out = run_tests(src, expected, timeout)
-        by_suite, suite_timed_out = run_tests(src, [], timeout)
+        by_expected, expected_problem = run_tests(src, expected)
+        by_suite, suite_problem = run_tests(src, [])
+    problems = {expected_problem, suite_problem} - {None}
     if by_expected or by_suite:
         status = "killed"
-    elif expected_timed_out or suite_timed_out:
-        status = "timed out"
+    elif problems:
+        status = "timed out" if problems == {"timed out"} else "runner error"
     else:
         status = "survived"
     return {"status": status, "file": file, "expected": list(expected),
             "killed_by_expected": by_expected, "killed_by_suite": by_suite,
+            "expected_problem": expected_problem, "suite_problem": suite_problem,
             "seconds": round(time.perf_counter() - started, 1)}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
-    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds allowed for each pytest run (default 300)")
     parser.add_argument("--out", default="-", help="file for the JSON matrix (default: stdout)")
     args = parser.parse_args(argv)
-    unknown = [name for name in args.names if name not in MUTANTS]
-    if unknown:
-        parser.error(f"unknown mutants: {unknown}")
-    stale = [name for name, (file, snippet, _, _) in MUTANTS.items()
-             if (PACKAGE / file).read_text(encoding="utf-8").count(snippet) != 1]
+    stale = stale_snippets()
     if stale:
-        parser.error(f"snippets that do not occur exactly once: {stale}")
+        parser.error(f"stale snippets: {stale}")
     matrix = {}
-    for name in args.names or MUTANTS:
-        matrix[name] = run_mutant(name, args.timeout)
+    for name in MUTANTS:
+        matrix[name] = run_mutant(name)
         print(f"{name}: {matrix[name]['status']}", file=sys.stderr)
     text = json.dumps(matrix, indent=2, ensure_ascii=False) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text, encoding="utf-8")
-    return 0 if all(row["status"] == "killed" for row in matrix.values()) else 1
+    clean = all(row["status"] == "killed" and not row["expected_problem"]
+                and not row["suite_problem"] for row in matrix.values())
+    return 0 if clean else 1
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import textwrap
 from pathlib import Path
 
 from conftest import run_fresh_interpreter
-from mutants import MUTANTS
+from mutants import stale_snippets
 
 import betti4
 
@@ -188,12 +188,8 @@ def test_star_import_yields_every_public_name():
 
 def test_every_mutant_snippet_occurs_exactly_once():
     # tests/mutants.py replays each mutant by exact replacement, so a
-    # snippet that the source no longer holds, or holds twice, is stale
-    package = Path(betti4.__file__).parent
-    found = [f"{name}: {file} holds it {count} times"
-             for name, (file, snippet, _, _) in MUTANTS.items()
-             if (count := (package / file).read_text(encoding="utf-8").count(snippet)) != 1]
-    assert found == []
+    # snippet that the checkout no longer holds, or holds twice, is stale
+    assert stale_snippets() == []
 
 
 def test_invariants_hold_under_python_O():
