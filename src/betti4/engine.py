@@ -4,69 +4,20 @@ Every Betti number comes from a key table: the row beta0..beta4 at a
 multidegree m depends only on the upward closure of its twin masks and
 on the support of m, and the 168 possible closures are tabulated at
 import, beta2 and beta3 from the shape weights, each checked against
-its atlas class.  full_table lays the generators out as bitset columns,
-keys each point of the lattice walk (the unit and the lcm-lattice
-points that are not cones) with a fixed number of bit operations on
-those columns, looks its row up and sums the rows.  The distinct lcms
-of the dominant generator quadruples, found on the same columns, are
-the paper's independent beta4 route and the runtime cross-check of the
-table's beta4 column.
+its atlas class.  full_table keys each point of the lattice walk (the
+unit and the lcm-lattice points that are not cones) with a fixed number
+of bit operations on the bitset generator columns that the walk built
+and tested its points on, looks its row up and sums the rows.  The
+distinct lcms of the dominant generator quadruples, found on the same
+columns, are the paper's independent beta4 route and the runtime
+cross-check of the table's beta4 column.
 """
-
-from operator import itemgetter
 
 from .atlas import ENTRIES, LABELED_CLASSES
 from .errors import InternalInconsistency
-from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
+from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees, generator_columns
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
 from .tables import BettiTable
-
-
-_X4 = itemgetter(3)
-
-
-def generator_columns(gens):
-    """Per-variable bitset columns of the generators, one bit apiece.
-
-    Returns (order, upto, equal).  Bit i stands for order[i]: the
-    generators sorted by x4, ties left in lex order.  upto[j] and
-    equal[j] are dicts keyed by 0 and every x_j exponent of the
-    generators, which are all the coordinates an lcm-lattice point can
-    have: upto[j][v] holds the generators with x_j <= v and equal[j][v]
-    those with x_j == v > 0, so equal[j][0] is empty.  Their size
-    follows the number of generators, not the size of the exponents.
-    """
-    order = sorted(gens, key=_X4)
-    e0, e1, e2, e3 = {0: 0}, {0: 0}, {0: 0}, {0: 0}
-    bit = 1
-    for g0, g1, g2, g3 in order:
-        e0[g0] = e0.get(g0, 0) | bit
-        e1[g1] = e1.get(g1, 0) | bit
-        e2[g2] = e2.get(g2, 0) | bit
-        e3[g3] = e3.get(g3, 0) | bit
-        bit <<= 1
-    # a generator sits in one entry of each column, so running unions
-    # over the increasing keys are the upto sets; a loop per variable
-    # costs less than building each dict with calls
-    u0, u1, u2, u3 = {}, {}, {}, {}
-    run = 0
-    for v in sorted(e0):
-        run |= e0[v]
-        u0[v] = run
-    run = 0
-    for v in sorted(e1):
-        run |= e1[v]
-        u1[v] = run
-    run = 0
-    for v in sorted(e2):
-        run |= e2[v]
-        u2[v] = run
-    run = 0
-    for v in sorted(e3):
-        run |= e3[v]
-        u3[v] = run
-    e0[0] = e1[0] = e2[0] = e3[0] = 0
-    return order, (u0, u1, u2, u3), (e0, e1, e2, e3)
 
 
 def dominant_quadruples(ideal, columns=None):
@@ -80,29 +31,31 @@ def dominant_quadruples(ideal, columns=None):
     m = (a0, b1, c2, d3).  The loops build only such assignments: each
     later member lies below the earlier ones in their variables and
     above them in its own, so each candidate set is an AND of
-    generator_columns entries, walked lowest bit first.  columns, if
-    given, must be generator_columns(ideal.gens); they are built here
-    otherwise.  Every exponent of m is positive, so g strongly divides
-    m iff g < m in all four variables; those g are the d candidates
-    whose x4 exponent is below d3.  So m survives iff d3 is the least
-    x4 exponent among the candidates, and every d attaining it gives
-    the same m, so only that least exponent is read.  The bits run in
-    x4 order, so the lowest bit of the candidate set carries it.  Fewer
-    than four generators have no quadruple.
+    generator_columns entries (below[j][v] at positive v, and the
+    complement of upto[j][v]), walked lowest bit first.  columns, if
+    given, must be generator_columns(ideal.gens), as full_table passes
+    them from the walk; they are built here otherwise.  Every exponent
+    of m is positive, so g strongly divides m iff g < m in all four
+    variables; those g are the d candidates whose x4 exponent is below
+    d3.  So m survives iff d3 is the least x4 exponent among the
+    candidates, and every d attaining it gives the same m, so only that
+    least exponent is read.  The bits run in x4 order, so the lowest bit
+    of the candidate set carries it.  Fewer than four generators have
+    no quadruple.
     """
     gens = ideal.gens
     if len(gens) < 4:
         return ()
-    order, (le0, le1, le2, _), (eq0, eq1, eq2, _) = columns or generator_columns(gens)
+    order, (le0, le1, le2, _), (lt0, lt1, lt2, _) = columns or generator_columns(gens)
     lcms = set()
-    # ~le_j[v] holds the generators with x_j > v and, as eq_j[v] lies in
-    # le_j[v], le_j[v] ^ eq_j[v] those with x_j < v; v is a generator
-    # exponent throughout, and positive wherever the second form is used
+    # ~le_j[v] holds the generators with x_j > v and lt_j[v] those with
+    # x_j < v; v is a generator exponent throughout, and positive
+    # wherever lt_j is read
     for a in order:
         a0, a1, a2, a3 = a
         if not a0:
             continue
-        below_a = le0[a0] ^ eq0[a0]
+        below_a = lt0[a0]
         bs = below_a & ~le1[a1]
         while bs:
             low = bs & -bs
@@ -110,7 +63,7 @@ def dominant_quadruples(ideal, columns=None):
             b = order[low.bit_length() - 1]
             b1 = b[1]
             # c and d need not exceed a in x2, so start from below_a, not bs
-            below_ab = below_a & (le1[b1] ^ eq1[b1])
+            below_ab = below_a & lt1[b1]
             c_floor = a2 if a2 > b[2] else b[2]
             cs = below_ab & ~le2[c_floor]
             d_floor = a3 if a3 > b[3] else b[3]
@@ -119,7 +72,7 @@ def dominant_quadruples(ideal, columns=None):
                 cs ^= low
                 c = order[low.bit_length() - 1]
                 c2 = c[2]
-                ds = below_ab & (le2[c2] ^ eq2[c2])
+                ds = below_ab & lt2[c2]
                 if not ds:
                     continue
                 d3 = order[(ds & -ds).bit_length() - 1][3]
@@ -228,14 +181,17 @@ def _rows_on_columns(columns, degrees):
     g_j == m_j > 0.  The row is the key table's for up if that family's
     support is supp(m), else zero.  Each m costs the same few bit
     operations, however many generators there are: four ANDs give the
-    set d of generators dividing m and four lookups the sets E_j of
-    those with g_j == m_j > 0.  Bit s of up is set iff some g in d has
-    its mask inside s, i.e. lies outside E_j for every variable j
-    missing from s.  Bit 0 (the empty mask) is set iff some g in d lies
-    outside every E_j; then up holds all 16 masks, of empty support, so
-    m has the zero row unless m = 1 (the unit ideal).
+    set d of generators dividing m and four more the sets c_j of those
+    outside E_j, the generators with g_j == m_j > 0.  A g in d has
+    g_j <= m_j, so it lies outside E_j iff it is in below[j][m_j]: with
+    x_j < m_j if m_j > 0, and with x_j == 0 = m_j, which every g in d
+    has, if m_j = 0.  Bit s of up is set iff some g in d has its mask
+    inside s, i.e. lies outside E_j for every variable j missing from
+    s.  Bit 0 (the empty mask) is set iff some g in d lies outside
+    every E_j, i.e. iff m is a cone; then up holds all 16 masks, of
+    empty support, so m has the zero row unless m = 1 (the unit ideal).
     """
-    _, (le0, le1, le2, le3), (eq0, eq1, eq2, eq3) = columns
+    _, (le0, le1, le2, le3), (lt0, lt1, lt2, lt3) = columns
     get = NONZERO_ROWS.get
     rows = {}
     for m in degrees:
@@ -243,10 +199,10 @@ def _rows_on_columns(columns, degrees):
         d = le0[m0] & le1[m1] & le2[m2] & le3[m3]
         # c_t, for a set t of variables, is d minus E_j for each j in t:
         # bit 15 - t of up is set iff c_t is nonempty
-        c0 = d & ~eq0[m0]
-        c1 = d & ~eq1[m1]
-        c2 = d & ~eq2[m2]
-        c3 = d & ~eq3[m3]
+        c0 = d & lt0[m0]
+        c1 = d & lt1[m1]
+        c2 = d & lt2[m2]
+        c3 = d & lt3[m3]
         c01 = c0 & c1
         c23 = c2 & c3
         up = ((d and 0x8000) | (c0 and 0x4000) | (c1 and 0x2000) | (c2 and 0x0800)
@@ -269,8 +225,10 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     The rows are read at the points enumerate_multidegrees returns: the
     unit and the lcm-lattice points that are not cones.  A cone keys to
     the full family of twin masks, whose row is zero, so the points left
-    out carry nothing.  Every row of the optional multigraded map is a
-    key-table row.  The totals are cross-checked against the generators
+    out carry nothing.  The walk returns the generator columns it tested
+    its points on, and both the keying and the dominant quadruples read
+    those, so the columns are built once per ideal.  Every row of the
+    optional multigraded map is a key-table row.  The totals are cross-checked against the generators
     (beta1 = q), the Euler characteristic (0, or 1 for the zero ideal)
     and the paper's independent beta4 route: the rows with a beta4 must
     sit exactly at the lcms of the dominant quadruples.  Together the
@@ -279,12 +237,11 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     """
     degrees = enumerate_multidegrees(ideal, cap)
     # keyed by the generators' exponents and 0, the columns cover every lcm
-    columns = generator_columns(ideal.gens)
-    rows = _rows_on_columns(columns, degrees)
+    rows = _rows_on_columns(degrees.columns, degrees)
     table = BettiTable.from_rows(rows, want_multigraded)
     # distinct lcms, as many as the beta4 column's sum and each on a row
     # with a beta4, are exactly the multidegrees with beta4 = 1
-    lcms = dominant_quadruples(ideal, columns)
+    lcms = dominant_quadruples(ideal, degrees.columns)
     if (table.betti[1] != len(ideal.gens) or table.euler != ideal.is_zero
             or len(lcms) != table.betti[4]
             or lcms and not all(m in rows and rows[m][4] for m in lcms)):

@@ -53,54 +53,59 @@ MUTANTS = {
         "",
         (CENSUS,),
     ),
-    "key: eq2 and eq3 columns swapped": (
+    "key: below2 and below3 columns swapped": (
         "engine.py",
-        "c2 = d & ~eq2[m2]\n        c3 = d & ~eq3[m3]",
-        "c2 = d & ~eq3[m3]\n        c3 = d & ~eq2[m2]",
+        "c2 = d & lt2[m2]\n        c3 = d & lt3[m3]",
+        "c2 = d & lt3[m3]\n        c3 = d & lt2[m2]",
         (CENSUS,),
     ),
-    "columns: equal[j][0] left set": (
-        "engine.py",
-        "    e0[0] = e1[0] = e2[0] = e3[0] = 0\n",
+    "columns: below[j][0] emptied": (
+        "multidegrees.py",
+        "        lt[0] = up[0]\n",
         "",
         (ACCEPTANCE + "test_criterion_01_worked_example_betti_table",),
     ),
     "columns: lex instead of x4 bit order": (
-        "engine.py",
+        "multidegrees.py",
         "order = sorted(gens, key=_X4)",
         "order = sorted(gens)",
         (ACCEPTANCE + "test_criterion_03_eight_generator_golden",),
     ),
-    "walk: cones kept live": (
+    "walk: cone test removed": (
         "multidegrees.py",
-        "if h1 <= n1 and h2 <= n2 and h3 <= n3:\n                    break",
-        "if h1 <= n1 and h2 <= n2 and h3 <= n3:\n                    new.append(m)\n                    break",
-        WALK,
-    ),
-    "walk: cone scan removed": (
-        "multidegrees.py",
-        "            for h0, h1, h2, h3 in gens:\n"
-        "                if h0 > n0:\n"
-        "                    new.append(m)\n"
-        "                    break\n"
-        "                if h1 <= n1 and h2 <= n2 and h3 <= n3:\n"
-        "                    break\n"
-        "            else:\n"
+        "            if not lt0[m0] & lt1[m1] & lt2[m2] & lt3[m3]:\n"
         "                new.append(m)\n",
         "            new.append(m)\n",
         WALK,
     ),
+    "walk: cones extended but filtered": (
+        "multidegrees.py",
+        "            if not lt0[m0] & lt1[m1] & lt2[m2] & lt3[m3]:\n"
+        "                new.append(m)\n"
+        "        if new:\n"
+        "            live += new\n"
+        "            new.clear()\n"
+        "        live.append(g)\n",
+        "            new.append(m)\n"
+        "        if new:\n"
+        "            live += new\n"
+        "            new.clear()\n"
+        "        live.append(g)\n"
+        "    live = [m for m in live\n"
+        "            if m == UNIT or not lt0[m[0]] & lt1[m[1]] & lt2[m[2]] & lt3[m[3]]]\n",
+        ("tests/test_multidegrees.py::test_walk_tests_far_fewer_points_than_the_lattice_holds",),
+    ),
+    "walk: one variable's below term dropped from the cone test": (
+        "multidegrees.py",
+        "if not lt0[m0] & lt1[m1] & lt2[m2] & lt3[m3]:",
+        "if not lt0[m0] & lt1[m1] & lt2[m2]:",
+        WALK[:1],
+    ),
     "walk: unit left out": (
         "multidegrees.py",
-        "return (UNIT, *live)",
-        "return tuple(live)",
+        "        live.append(UNIT)\n",
+        "        pass\n",
         (ACCEPTANCE + "test_criterion_01_worked_example_betti_table",),
-    ),
-    "walk: lex early stop one generator early": (
-        "multidegrees.py",
-        "if h0 > n0:",
-        "if h0 >= n0:",
-        WALK[:1],
     ),
     "beta4: one lcm dropped": (
         "engine.py",

@@ -6,7 +6,9 @@ squarefree.shape_descriptor and on bit columns in
 engine.dominant_quadruples.  The versions here follow the definitions
 word for word, on exponent tuples, so the tests can check the fast ones
 against them.  multigraded_oracle reads its ranks through the public
-reduced_homology_rank, not the oracle's own profile path.
+reduced_homology_rank, not the oracle's own profile path, and
+k_polynomial computes the numerator of the Hilbert series with no
+lattice walk at all.
 """
 
 from betti4.homology import RATIONALS, koszul_complex, reduced_homology_rank
@@ -85,3 +87,49 @@ def multigraded_oracle(ideal, b, field=RATIONALS):
     complex_ = koszul_complex(ideal, b)
     head = 1 if b == UNIT else 0
     return (head, *(reduced_homology_rank(complex_, dim, field) for dim in range(-1, 3)))
+
+
+def _coprime(gens):
+    """True iff no two monomials share a variable."""
+    seen = 0
+    for g in gens:
+        support = sum(1 << j for j in range(NUM_VARS) if g[j])
+        if seen & support:
+            return False
+        seen |= support
+    return True
+
+
+def k_polynomial(gens):
+    """K-polynomial of S/(gens), as {exponent: coefficient} with no zeros.
+
+    The numerator of the multigraded Hilbert series, sum over m and i of
+    (-1)^i beta_{i,m} x^m for every free resolution, found by Bigatti's
+    pivot recursion (Bigatti 1997) with no resolution and no lcm
+    lattice: the sequence 0 -> S/(I : p)(-p) -> S/I -> S/(I + (p)) -> 0
+    gives K(S/I) = K(S/(I + (p))) + x^p K(S/(I : p)).  Pairwise coprime
+    generators give the product of the 1 - x^g.  Otherwise the pivot is
+    p = x_j^e, for the variable x_j that most generators other than
+    pure powers use and the median x_j exponent e among those: I + (p)
+    has fewer such generators and I : p the same number or fewer of
+    lower total degree, so the recursion ends.
+    """
+    gens = minimalize(gens)
+    if _coprime(gens):
+        poly = {UNIT: 1}
+        for g in gens:
+            product = dict(poly)
+            for m, c in poly.items():
+                m = lcm(m, g)  # coprime, so the lcm is the product
+                product[m] = product.get(m, 0) - c
+            poly = product
+        return {m: c for m, c in poly.items() if c}
+    users = [sorted(g[j] for g in gens if g[j] and sum(map(bool, g)) > 1) for j in range(NUM_VARS)]
+    j = max(range(NUM_VARS), key=lambda j: len(users[j]))
+    pivot = tuple(users[j][len(users[j]) // 2] if i == j else 0 for i in range(NUM_VARS))
+    poly = k_polynomial(gens + (pivot,))
+    colon = (tuple(x - y if x > y else 0 for x, y in zip(g, pivot)) for g in gens)
+    for m, c in k_polynomial(colon).items():
+        m = tuple(x + y for x, y in zip(m, pivot))
+        poly[m] = poly.get(m, 0) + c
+    return {m: c for m, c in poly.items() if c}

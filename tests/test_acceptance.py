@@ -21,7 +21,6 @@ from betti4.engine import (
     _rows_on_columns,
     dominant_quadruples,
     full_table,
-    generator_columns,
     pd_two_condition,
     upward_closure,
 )
@@ -33,6 +32,7 @@ from betti4.monomials import (
     minimalize,
     support_mask,
 )
+from betti4.multidegrees import generator_columns
 from betti4.cli import sample_ideal
 from betti4.parsing import parse_ideal
 from betti4.squarefree import SquarefreeIdeal, mask_monomial

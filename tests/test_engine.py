@@ -38,14 +38,13 @@ from betti4.engine import (
     _rows_on_columns,
     dominant_quadruples,
     full_table,
-    generator_columns,
     pd_two_condition,
     upward_closure,
 )
 from betti4.errors import GeneratorCapExceeded, InternalInconsistency, InvariantViolation
 from betti4.homology import ALL_FIELDS, oracle_betti
 from betti4.monomials import UNIT, MonomialIdeal, divides, lcm
-from betti4.multidegrees import enumerate_multidegrees
+from betti4.multidegrees import enumerate_multidegrees, generator_columns
 from betti4.parsing import DEFAULT_EXP_CAP
 from betti4.twins import build_bundle
 
@@ -282,17 +281,20 @@ def _reference_row(ideal, m):
 @example(UNIT_IDEAL)
 @example(FIVE_AT_CAP)
 @example(ideal_of((10**9, 0, 0, 0), (0, 1, 0, 0)))
+@example(ideal_of((10**9 + 1, 0, 0, 0), (10**9, 1, 0, 0), (0, 2, 0, 0)))
 def test_generator_columns_match_their_definition(ideal):
-    order, upto, equal = generator_columns(ideal.gens)
+    order, upto, below = generator_columns(ideal.gens)
     assert order == sorted(ideal.gens, key=lambda g: (g[3], g))
     everyone = (1 << len(order)) - 1
     for j in range(4):
         keys = sorted({0, *(g[j] for g in ideal.gens)})
-        assert sorted(upto[j]) == sorted(equal[j]) == keys
+        assert sorted(upto[j]) == sorted(below[j]) == keys
         for v in keys:
             assert upto[j][v] == sum(1 << i for i, g in enumerate(order) if g[j] <= v)
-            assert equal[j][v] == sum(1 << i for i, g in enumerate(order) if g[j] == v > 0)
-        assert upto[j][keys[-1]] == everyone and equal[j][0] == 0
+            # below v off zero, and off the variable at zero
+            assert below[j][v] == sum(1 << i for i, g in enumerate(order)
+                                      if (g[j] < v if v else g[j] == 0))
+        assert upto[j][keys[-1]] == everyone and below[j][0] == upto[j][0]
 
 
 def _stretched(gens, factor):

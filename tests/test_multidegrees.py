@@ -3,8 +3,10 @@ from itertools import combinations
 import pytest
 from conftest import ideal_of, ideals, is_cone, lcm_lattice, model_ideals, model_or_staircase, staircase
 from hypothesis import given
-from reference import lcm_all
+from reference import k_polynomial, lcm_all
 
+from betti4 import engine, multidegrees
+from betti4.cli import format_ideal, main
 from betti4.engine import full_table
 from betti4.errors import GeneratorCapExceeded
 from betti4.homology import ALL_FIELDS, oracle_betti
@@ -107,6 +109,20 @@ def test_alternating_row_sums_are_the_taylor_sums(ideal):
     assert _alternating_sums(full_table(ideal, want_multigraded=True).multigraded) == taylor
     for field in ALL_FIELDS:
         assert _alternating_sums(oracle_betti(ideal, field, want_multigraded=True).multigraded) == taylor
+    # the K-polynomial reference counts the same subsets, by another road
+    assert k_polynomial(ideal.gens) == taylor
+
+
+@pytest.mark.parametrize("q", [24, 40, 60, 100, 200])
+def test_alternating_row_sums_are_the_k_polynomial_at_large_q(q):
+    # the Taylor sums need all 2^q subsets; Bigatti's pivot recursion
+    # gives the same K-polynomial without them and without a lattice
+    # walk, so a live point either walk loses is seen at any q
+    ideal = staircase(q, 17)
+    expected = k_polynomial(ideal.gens)
+    table = full_table(ideal, want_multigraded=True, cap=q)
+    assert _alternating_sums(table.multigraded) == expected
+    assert _alternating_sums(oracle_betti(ideal, cap=q, want_multigraded=True).multigraded) == expected
 
 
 def test_routes_agree_on_a_hundred_generator_staircase():
@@ -116,28 +132,62 @@ def test_routes_agree_on_a_hundred_generator_staircase():
     assert table.betti[4] > 0
 
 
-class _CountedGens(tuple):
-    """Generators that count the passes made over them."""
+class _CountedColumn(dict):
+    """A below column that counts the lookups made in it."""
 
-    passes = 0
+    reads = 0
 
-    def __iter__(self):
-        self.passes += 1
-        return super().__iter__()
+    def __getitem__(self, v):
+        _CountedColumn.reads += 1
+        return super().__getitem__(v)
 
 
-def test_walk_tests_far_fewer_points_than_the_lattice_holds():
+def test_walk_tests_far_fewer_points_than_the_lattice_holds(monkeypatch):
     # the lcm lattice of this staircase has 62,645 points (too slow to
     # rebuild here), most of them cones; the walk grows lcms from live
-    # points only, so it tests a fraction of them, one pass over the
-    # generators per test besides its outer loop
-    gens = _CountedGens(staircase(100, 13).gens)
-    ideal = MonomialIdeal(gens)
-    gens.passes = 0
+    # points only, so it tests a fraction of them, each with one lookup
+    # in each variable's below column
+    build = multidegrees.generator_columns
+
+    def counted(gens):
+        order, upto, below = build(gens)
+        return order, upto, tuple(map(_CountedColumn, below))
+
+    monkeypatch.setattr(multidegrees, "generator_columns", counted)
+    monkeypatch.setattr(_CountedColumn, "reads", 0)
     enumerate_multidegrees.cache_clear()
-    walked = enumerate_multidegrees(ideal, 100)
-    tests = gens.passes - 1
+    try:
+        walked = enumerate_multidegrees(staircase(100, 13), 100)
+    finally:
+        enumerate_multidegrees.cache_clear()
+    assert _CountedColumn.reads % 4 == 0
+    tests = _CountedColumn.reads // 4
     assert len(walked) <= tests < 62_645 // 2
+
+
+def test_columns_are_built_once_per_ideal(monkeypatch, capsys):
+    # the walk builds the generator columns and hands them on, so a cold
+    # formula table, and verify's formula pass with its four oracle
+    # passes, each build them once
+    calls = []
+    build = multidegrees.generator_columns
+
+    def counted(gens):
+        calls.append(gens)
+        return build(gens)
+
+    for module in (multidegrees, engine):
+        monkeypatch.setattr(module, "generator_columns", counted)
+    ideal = staircase(24, 5)
+    enumerate_multidegrees.cache_clear()
+    table = full_table(ideal, cap=40)
+    assert calls == [ideal.gens]
+    calls.clear()
+    enumerate_multidegrees.cache_clear()
+    assert main(["verify", "--max-gens", "40", format_ideal(ideal)]) == 0
+    assert calls == [ideal.gens]
+    out = capsys.readouterr().out
+    assert "char0=ok char2=ok char3=ok char5=ok" in out and f"betti={list(table.betti)}" in out
 
 
 @given(ideals())
