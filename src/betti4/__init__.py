@@ -14,7 +14,6 @@ from .errors import (
     InputUnreadable,
     InternalInconsistency,
     InvariantViolation,
-    NotInAtlas,
     ParseError,
     VariableOutOfRange,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "InvariantViolation",
     "MonomialIdeal",
     "NUM_VARS",
-    "NotInAtlas",
     "ParseError",
     "RATIONALS",
     "SimplicialComplex",

@@ -8,7 +8,7 @@ are written with y1 leftmost.
 
 from itertools import permutations
 
-from .errors import InternalInconsistency, NotInAtlas
+from .errors import InternalInconsistency
 from .squarefree import SquarefreeIdeal, mask_string, parse_mask, permute_mask
 from .values import Value, set_field
 
@@ -155,10 +155,14 @@ def _load():
         raise InternalInconsistency(f"{len(entries)} atlas entries, expected 66")
     if len({e.gens for e in entries.values()}) != 66:
         raise InternalInconsistency("labeled generator sets must be distinct")
+    # every nonzero squarefree ideal in four variables, one per nonempty
+    # antichain of masks (the Dedekind number 168, less the zero ideal)
+    if len(labeled) != 167:
+        raise InternalInconsistency(f"{len(labeled)} labeled forms, expected 167")
     return entries, labeled
 
 
-# LABELED_CLASSES maps every relabeling of every entry, as a sorted mask
+# LABELED_CLASSES maps every nonzero squarefree ideal, as a sorted mask
 # tuple, to its CanonicalForm: the smallest class id of its orbit, the
 # first permutation (in permutations() order) that carries the tuple to
 # the orbit's lexicographically least form, and that form.
@@ -171,7 +175,8 @@ def atlas_entries():
 
 
 def canonicalize(ideal):
-    """Match a squarefree ideal to its class: one read of LABELED_CLASSES.
+    """Match a squarefree ideal to its class: one read of LABELED_CLASSES,
+    which the loader checked holds every nonzero squarefree ideal.
 
     The result names the smallest class id of the orbit, the first
     relabeling that carries the generators to the orbit's least sorted
@@ -179,10 +184,7 @@ def canonicalize(ideal):
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no atlas class")
-    form = LABELED_CLASSES.get(ideal.gens)
-    if form is None:
-        raise NotInAtlas(f"no class matches generators {[mask_string(g) for g in ideal.gens]}")
-    return form
+    return LABELED_CLASSES[ideal.gens]
 
 
 def lookup_multigraded(ideal, y_m):

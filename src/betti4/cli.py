@@ -21,7 +21,7 @@ from .atlas import atlas_entries, atlas_records
 from .engine import full_table, pd_two_condition
 from .errors import Betti4Error, InputUnreadable, ParseError
 from .homology import ALL_FIELDS, oracle_betti
-from .monomials import NUM_VARS, MonomialIdeal, minimalize
+from .monomials import NUM_VARS, MonomialIdeal
 from .multidegrees import DEFAULT_GEN_CAP
 from .parsing import DEFAULT_EXP_CAP, parse_ideal
 from .squarefree import mask_monomial, mask_string
@@ -170,7 +170,7 @@ def cmd_verify(args):
 def cmd_atlas(args):
     if args.check:
         for entry in atlas_entries():
-            ideal = MonomialIdeal(minimalize(mask_monomial(g) for g in entry.gens))
+            ideal = MonomialIdeal(mask_monomial(g) for g in entry.gens)
             y = mask_monomial(entry.y_m)
             for field in ALL_FIELDS:
                 rows = oracle_betti(ideal, field, want_multigraded=True).multigraded
@@ -196,7 +196,8 @@ def cmd_atlas(args):
 
 def sample_ideal(rng, max_gens, max_exp):
     """Random model: generator count uniform in [1, max_gens], exponents
-    uniform in [0, max_exp], zero monomials resampled, then minimalized."""
+    uniform in [0, max_exp], zero monomials resampled; the ideal keeps
+    the minimal ones."""
     count = rng.randint(1, max_gens)
     gens = []
     for _ in range(count):
@@ -204,7 +205,7 @@ def sample_ideal(rng, max_gens, max_exp):
         while not any(m):
             m = tuple(rng.randint(0, max_exp) for _ in range(NUM_VARS))
         gens.append(m)
-    return MonomialIdeal(minimalize(gens))
+    return MonomialIdeal(gens)
 
 
 def cmd_experiment(args):

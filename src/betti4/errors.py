@@ -17,14 +17,6 @@ class GeneratorCapExceeded(Betti4Error):
     the lattice walk that the formula route and the oracle both run first."""
 
 
-class NotInAtlas(Betti4Error):
-    """A squarefree ideal failed to match any atlas class.
-
-    The atlas is complete for 4 variables, so this always signals
-    corrupted atlas data rather than unusual input.
-    """
-
-
 class InternalInconsistency(Betti4Error):
     """Two redundant computation paths disagree."""
 

@@ -3,14 +3,14 @@
 A monomial is a plain 4-tuple of non-negative exponents for x1..x4.
 Plain tuples keep the subset walks in the rest of the package cheap.
 This module holds what a run computes with: lcm, divisibility, support
-masks and minimal generating sets.  Dominance, semidominance and strong
-divisibility are computed where the formulas read them, on masks in
+masks and minimal generating sets.  The package computes the last in
+one place: a MonomialIdeal stores minimalize() of whatever generators
+it is given.  Dominance, semidominance and strong divisibility are
+computed where the formulas read them, on masks in
 squarefree.shape_descriptor and on bit columns in
 engine.dominant_quadruples; their definition-level versions on exponent
 tuples are test references.
 """
-
-from operator import lt
 
 from .errors import InvariantViolation
 from .values import Value, set_field
@@ -46,30 +46,24 @@ def support_mask(m):
 
 
 class MonomialIdeal(Value):
-    """A monomial ideal given by its minimal generating set, lex-sorted.
+    """The monomial ideal that an iterable of generators generates.
 
-    The zero ideal has no generators; the unit ideal is generated by the
-    constant monomial.  Pass generators through minimalize() first
-    unless they are already known to be minimal and sorted.
+    gens holds its minimal generating set, lex-sorted, so ideals built
+    from different generators of one ideal are equal.  The zero ideal
+    has no generators; the unit ideal is generated by the constant
+    monomial.
     """
 
     __slots__ = ("gens",)
 
     def __init__(self, gens):
-        # an ideal is a hashable value: an unhashable generator raises TypeError
-        hash(tuple(gens))
-        if not all(map(lt, gens, gens[1:])):
-            raise InvariantViolation("generators must be lex-sorted and distinct")
+        gens = tuple(gens)
         for g in gens:
             if len(g) != NUM_VARS or min(g) < 0:
                 raise InvariantViolation(f"bad monomial {g!r}")
-        # in lex order a proper divisor comes first, so only a generator
-        # before b can divide it
-        for j, (b0, b1, b2, b3) in enumerate(gens):
-            for a0, a1, a2, a3 in gens[:j]:
-                if a0 <= b0 and a1 <= b1 and a2 <= b2 and a3 <= b3:
-                    raise InvariantViolation("generating set must be minimal")
-        set_field(self, "gens", gens)
+        # an ideal is a hashable value: an unhashable generator raises
+        # TypeError in minimalize's set()
+        set_field(self, "gens", minimalize(gens))
 
     def __hash__(self):
         return hash(self.gens)

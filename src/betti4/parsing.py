@@ -10,7 +10,7 @@ bare ``1`` denotes the unit monomial.  Repeated variables multiply, so
 import re
 
 from .errors import ExponentCapExceeded, ParseError, VariableOutOfRange
-from .monomials import NUM_VARS, MonomialIdeal, minimalize
+from .monomials import NUM_VARS, MonomialIdeal
 
 DEFAULT_EXP_CAP = 64
 
@@ -69,7 +69,7 @@ def _bad_exponent(text, m, max_exp):
 
 
 def parse_ideal(text, max_exp=DEFAULT_EXP_CAP):
-    """Parse a generator list into a MonomialIdeal, minimalizing as needed.
+    """Parse a generator list into the MonomialIdeal it generates.
 
     An input that is only whitespace or comments denotes the zero ideal.
     Every error position is an offset into text.
@@ -115,6 +115,6 @@ def parse_ideal(text, max_exp=DEFAULT_EXP_CAP):
             raise ParseError(f"expected '*' before {text[m.end()]!r}", m.end())
         gens.append(tuple(exps))
         if not sep:
-            return MonomialIdeal(minimalize(gens))
+            return MonomialIdeal(gens)
         exps = [0] * NUM_VARS
         pos = m.end()

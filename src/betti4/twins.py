@@ -9,7 +9,7 @@ Betti numbers of the original ideal at m equal those of the squarefree
 image at the support of m.
 """
 
-from .monomials import MonomialIdeal, divides, minimalize, support_mask
+from .monomials import MonomialIdeal, divides, support_mask
 from .squarefree import SquarefreeIdeal
 from .values import Value, set_field
 
@@ -36,14 +36,14 @@ class TwinBundle(Value):
 def build_bundle(ideal, m):
     """Run the whole reduction pipeline at one multidegree.
 
-    A subsequence of a lex-sorted minimal generating set is lex-sorted
-    and minimal, so the divisors go to the constructor as they are.
-    Every twin exponent is m's or 0 by construction, so divisibility
-    among the images is inclusion of their masks: the minimalized twin
-    reads as distinct, minimal masks, which SquarefreeIdeal checks.
+    The restriction and the twin are the ideals their generators
+    generate, so MonomialIdeal keeps the minimal ones.  Every twin
+    exponent is m's or 0 by construction, so divisibility among the
+    images is inclusion of their masks: the twin's minimal generators
+    read as distinct, minimal masks, which SquarefreeIdeal checks.
     """
-    restriction = MonomialIdeal(tuple(g for g in ideal.gens if divides(g, m)))
+    restriction = MonomialIdeal(g for g in ideal.gens if divides(g, m))
     images = tuple(tuple(a if b == a else 0 for a, b in zip(m, g)) for g in restriction.gens)
-    twin = MonomialIdeal(minimalize(images))
+    twin = MonomialIdeal(images)
     squarefree = SquarefreeIdeal(tuple(sorted(support_mask(g) for g in twin.gens)))
     return TwinBundle(m, restriction, images, twin, squarefree, support_mask(m))

@@ -11,7 +11,7 @@ from hypothesis import settings
 
 import betti4
 from betti4.cli import sample_ideal
-from betti4.monomials import UNIT, MonomialIdeal, lcm, minimalize
+from betti4.monomials import UNIT, MonomialIdeal, lcm
 from betti4.parsing import DEFAULT_EXP_CAP
 
 settings.register_profile("suite", deadline=None)
@@ -19,7 +19,7 @@ settings.load_profile("suite")
 
 
 def ideal_of(*gens):
-    return MonomialIdeal(minimalize(gens))
+    return MonomialIdeal(gens)
 
 
 def staircase(q, seed):
@@ -27,7 +27,7 @@ def staircase(q, seed):
     d = q // 4 + 1
     pool = [(a, b, c, d - a - b - c)
             for a in range(d + 1) for b in range(d + 1 - a) for c in range(d + 1 - a - b)]
-    return MonomialIdeal(tuple(sorted(random.Random(seed).sample(pool, q))))
+    return MonomialIdeal(random.Random(seed).sample(pool, q))
 
 
 def monomials(max_exp=4):
@@ -37,7 +37,7 @@ def monomials(max_exp=4):
 
 def ideals(max_gens=6, max_exp=4):
     return st.lists(monomials(max_exp), min_size=1, max_size=max_gens).map(
-        lambda gens: MonomialIdeal(minimalize(gens))
+        lambda gens: MonomialIdeal(gens)
     )
 
 
@@ -47,7 +47,7 @@ def wide_ideals(draw, max_gens=8):
     own drawn maximum, so columns of very different heights meet."""
     caps = draw(st.tuples(*[st.integers(0, DEFAULT_EXP_CAP)] * 4))
     exps = st.tuples(*(st.integers(0, cap) for cap in caps))
-    return MonomialIdeal(minimalize(draw(st.lists(exps, min_size=1, max_size=max_gens))))
+    return MonomialIdeal(draw(st.lists(exps, min_size=1, max_size=max_gens)))
 
 
 def permutations_of_4():

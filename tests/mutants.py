@@ -113,6 +113,62 @@ MUTANTS = {
         "return tuple(sorted(lcms))[1:]",
         (ACCEPTANCE + "test_criterion_02_beta4_golden",),
     ),
+    "pd2: smallest instead of second-smallest column exponent": (
+        "engine.py",
+        "sorted(column)[1]",
+        "sorted(column)[0]",
+        ("tests/test_engine.py::test_pd_two_condition_matches_the_pair_scan",),
+    ),
+    "ideal: constructor stores the generators as given": (
+        "monomials.py",
+        'set_field(self, "gens", minimalize(gens))',
+        'set_field(self, "gens", gens)',
+        ("tests/test_monomials.py::test_ideal_keeps_the_minimal_generators",),
+    ),
+    "atlas: completeness check dropped": (
+        "atlas.py",
+        "    if len(labeled) != 167:\n"
+        '        raise InternalInconsistency(f"{len(labeled)} labeled forms, expected 167")\n',
+        "",
+        ("tests/test_atlas.py::test_loader_rejects_a_corrupted_table",),
+    ),
+    "values: __eq__ accepts any Value": (
+        "values.py",
+        "if other.__class__ is not self.__class__:",
+        "if not isinstance(other, Value):",
+        ("tests/test_values.py::test_equality_holds_only_within_one_type",),
+    ),
+    "tables: entry check dropped from _column_sums": (
+        "tables.py",
+        " or check_entries and min(map(min, rows)) < 0",
+        "",
+        ("tests/test_engine.py::test_negative_multigraded_entry_is_rejected",
+         "tests/test_values.py::test_from_rows_sums_the_columns_once_and_checks_the_rows"),
+    ),
+    "tables: strict=True dropped": (
+        "tables.py",
+        "zip(*rows, strict=True)",
+        "zip(*rows)",
+        ("tests/test_engine.py::test_long_multigraded_row_is_rejected",),
+    ),
+    "tables: pd loop starts one degree lower": (
+        "tables.py",
+        "for i in range(4, 0, -1):",
+        "for i in range(3, 0, -1):",
+        ("tests/test_engine.py::test_betti_table_consistency_checks",),
+    ),
+    "homology: unsigned boundary matrices": (
+        "homology.py",
+        "= -1 if k % 2 else 1",
+        "= 1",
+        ("tests/test_homology.py::test_homology_on_four_vertices_has_no_torsion",),
+    ),
+    "homology: interning keyed on bits & 0xFF": (
+        "homology.py",
+        "    return _interned_complex(bits)\n",
+        "    return _interned_complex(bits & 0xFF)\n",
+        ("tests/test_homology.py::test_koszul_complex_matches_the_shift_definition",),
+    ),
 }
 
 _REPORTED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$")

@@ -74,7 +74,7 @@ def permute_monomial(m, perm):
 
 def permute_ideal(ideal, perm):
     """Apply a variable permutation to every generator."""
-    return MonomialIdeal(minimalize(permute_monomial(g, perm) for g in ideal.gens))
+    return MonomialIdeal(permute_monomial(g, perm) for g in ideal.gens)
 
 
 def multigraded_oracle(ideal, b, field=RATIONALS):

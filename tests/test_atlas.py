@@ -59,6 +59,9 @@ def test_loader_rejects_a_corrupted_table(monkeypatch):
         # classes 7 and 9 are relabelings of one another
         "entries 7 and 9 disagree": table[:8] + ((9, ninth[1], ninth[2], ninth[3] + 1, 0),) + table[9:],
         "must be distinct": table[:-1] + ((66,) + table[-2][1:],),
+        # a relabeling of class 2 in place of class 66 leaves the orbit
+        # of the ideal generated by 1111 uncovered
+        "166 labeled forms": table[:-1] + ((66, ("0100",), "0100", 0, 0),),
     }
     for message, corrupted in corruptions.items():
         monkeypatch.setattr(atlas, "_TABLE", corrupted)

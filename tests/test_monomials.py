@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 from conftest import ideal_of, ideals, monomials, permutations_of_4
 from hypothesis import example, given, strategies as st
@@ -89,17 +87,12 @@ def _minimalize_pairwise(gens):
     return tuple(m for m in pool if not any(g != m and divides(g, m) for g in pool))
 
 
-def _ideal_check_pairwise(gens):
-    """Reference: the message MonomialIdeal(gens) raises, None if it accepts."""
-    if list(gens) != sorted(set(gens)):
-        return "generators must be lex-sorted and distinct"
+def _ideal_pairwise(gens):
+    """Reference: the message MonomialIdeal(gens) raises, else its generators."""
     for g in gens:
         if len(g) != NUM_VARS or min(g) < 0:
             return f"bad monomial {g!r}"
-    for a, b in combinations(gens, 2):
-        if divides(a, b) or divides(b, a):
-            return "generating set must be minimal"
-    return None
+    return _minimalize_pairwise(gens)
 
 
 # small exponents, so that duplicates and divisible pairs are common
@@ -116,7 +109,7 @@ def test_minimalize_matches_the_pairwise_scan(gens):
 def _candidate_gens(draw):
     """Small monomials with duplicates and divisible pairs, now and then
     with a negative exponent or a 3-tuple among them; as drawn, sorted
-    and distinct (which reaches the minimality check), or minimalized."""
+    and distinct, or minimalized."""
     gens = draw(st.lists(_SMALL_MONOMIALS, max_size=8))
     if draw(st.booleans()):
         odd = st.tuples(st.integers(-1, 2), _SMALL, _SMALL, _SMALL) | st.tuples(_SMALL, _SMALL, _SMALL)
@@ -128,18 +121,22 @@ def _candidate_gens(draw):
 @given(_candidate_gens())
 # the only divisible pair is not adjacent
 @example(((0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1)))
-def test_ideal_check_matches_the_pairwise_scan(gens):
+def test_ideal_keeps_the_minimal_generators(gens):
     try:
-        MonomialIdeal(gens)
-        verdict = None
+        verdict = MonomialIdeal(gens).gens
     except InvariantViolation as exc:
         verdict = str(exc)
-    assert verdict == _ideal_check_pairwise(gens)
+    assert verdict == _ideal_pairwise(gens)
 
 
-def test_ideal_rejects_redundant_generators():
-    with pytest.raises(InvariantViolation, match="minimal"):
-        MonomialIdeal(((1, 0, 0, 0), (2, 0, 0, 0)))
+@given(st.lists(_SMALL_MONOMIALS, max_size=8), st.randoms(use_true_random=False))
+def test_generators_of_one_ideal_build_one_value(gens, rng):
+    # shuffled and with a multiple of every generator added, the list
+    # generates the same ideal; any iterable of generators is read
+    more = gens + [lcm(g, (0, 1, 0, 1)) for g in gens]
+    rng.shuffle(more)
+    ideal, same = MonomialIdeal(gens), MonomialIdeal(g for g in more)
+    assert same == ideal and hash(same) == hash(ideal)
 
 
 def test_ideal_rejects_unhashable_generators():

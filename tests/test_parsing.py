@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from betti4.cli import format_ideal
 from betti4.errors import ExponentCapExceeded, ParseError, VariableOutOfRange
-from betti4.monomials import NUM_VARS, MonomialIdeal, minimalize
+from betti4.monomials import NUM_VARS, MonomialIdeal
 from betti4.parsing import DEFAULT_EXP_CAP, parse_ideal
 
 _DIGITS = frozenset("0123456789")
@@ -109,7 +109,7 @@ def _parse_ideal_by_chars(text, max_exp=DEFAULT_EXP_CAP):
     for chunk in clean.split(","):
         gens.append(_parse_monomial_by_chars(chunk, base, max_exp))
         base += len(chunk) + 1
-    return MonomialIdeal(minimalize(gens))
+    return MonomialIdeal(gens)
 
 
 def _outcome(parse, text, cap):
@@ -271,7 +271,7 @@ def capped_ideals(draw):
     cap = draw(st.integers(1, 2 * DEFAULT_EXP_CAP))
     exp = st.integers(0, cap)
     gens = draw(st.lists(st.tuples(exp, exp, exp, exp), min_size=0, max_size=8))
-    return cap, MonomialIdeal(minimalize(gens))
+    return cap, MonomialIdeal(gens)
 
 
 @given(capped_ideals())

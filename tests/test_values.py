@@ -115,8 +115,8 @@ def test_validated_constructors_keep_their_errors():
         SquarefreeIdeal((4, 3))
     with pytest.raises(InvariantViolation, match="bad mask 16"):
         SquarefreeIdeal((16,))
-    with pytest.raises(InvariantViolation, match="generating set must be minimal"):
-        MonomialIdeal(((0, 1, 0, 0), (0, 1, 1, 0)))
+    with pytest.raises(InvariantViolation, match=r"bad monomial \(0, -1, 0, 0\)"):
+        MonomialIdeal(((0, 1, 1, 0), (0, -1, 0, 0)))
     with pytest.raises(InvariantViolation, match="bad monomial"):
         MonomialIdeal(((0, 1, 0),))
     with pytest.raises(TypeError):
