@@ -17,15 +17,6 @@ from .errors import (
     ParseError,
     VariableOutOfRange,
 )
-from .homology import (
-    ALL_FIELDS,
-    RATIONALS,
-    FieldSpec,
-    SimplicialComplex,
-    koszul_complex,
-    oracle_betti,
-    reduced_homology_rank,
-)
 from .monomials import (
     NUM_VARS,
     UNIT,
@@ -45,7 +36,15 @@ __version__ = "0.1.0"
 
 # The atlas and the engine build their tables when imported, so they load
 # on first use: importing the oracle alone must not pull in formula code.
+# The oracle loads on first use too, so the formula route never imports it.
 _LAZY = {
+    "ALL_FIELDS": "homology",
+    "FieldSpec": "homology",
+    "RATIONALS": "homology",
+    "SimplicialComplex": "homology",
+    "koszul_complex": "homology",
+    "oracle_betti": "homology",
+    "reduced_homology_rank": "homology",
     "AtlasEntry": "atlas",
     "CanonicalForm": "atlas",
     "atlas_entries": "atlas",

@@ -9,7 +9,6 @@ input.
 """
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -20,11 +19,13 @@ import sys
 from .atlas import atlas_entries, atlas_records
 from .engine import full_table, pd_two_condition
 from .errors import Betti4Error, InputUnreadable, ParseError
-from .homology import ALL_FIELDS, oracle_betti
 from .monomials import NUM_VARS, MonomialIdeal
 from .multidegrees import DEFAULT_GEN_CAP
 from .parsing import DEFAULT_EXP_CAP, parse_ideal
 from .squarefree import mask_monomial, mask_string
+
+# the oracle and csv are imported by the subcommands that use them, so
+# ``betti`` starts without them
 
 SCHEMA_VERSION = 1
 
@@ -127,6 +128,8 @@ def cmd_betti(args):
 
 
 def cmd_verify(args):
+    from .homology import ALL_FIELDS, oracle_betti
+
     failed = False
     bad_input = False
     for number, line in _read_inputs(args):
@@ -169,6 +172,8 @@ def cmd_verify(args):
 
 def cmd_atlas(args):
     if args.check:
+        from .homology import ALL_FIELDS, oracle_betti
+
         for entry in atlas_entries():
             ideal = MonomialIdeal(mask_monomial(g) for g in entry.gens)
             y = mask_monomial(entry.y_m)
@@ -209,6 +214,8 @@ def sample_ideal(rng, max_gens, max_exp):
 
 
 def cmd_experiment(args):
+    import csv
+
     rng = random.Random(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["seed_index", "num_gens", "beta2", "beta3", "beta4", "pd", "beta3_gt_beta2"])

@@ -42,6 +42,17 @@ def dominant_quadruples(ideal, columns=None):
     least exponent is read.  The bits run in x4 order, so the lowest bit
     of the candidate set carries it.  Fewer than four generators have
     no quadruple.
+
+    A ceiling on d3 prunes the c loop.  For a pair (a, b), with below_ab
+    the generators below a in x1 and below b in x2, every c has c2 above
+    c_floor = max(a2, b2), so each d candidate set below_ab & below[2][c2]
+    contains upto_c = below_ab & upto[2][c_floor], and d3 is at most the
+    least x4 exponent in upto_c, the ceiling.  A lcm needs
+    d3 > max(a3, b3) and d3 > c3, so no c survives when the ceiling is at
+    most max(a3, b3), and since the c candidates run in x4 order the loop
+    stops at the first c with c3 at the ceiling or above.  An empty
+    upto_c reads order[-1], the largest x4 exponent, which bounds every
+    d3 as well.
     """
     gens = ideal.gens
     if len(gens) < 4:
@@ -65,18 +76,25 @@ def dominant_quadruples(ideal, columns=None):
             # c and d need not exceed a in x2, so start from below_a, not bs
             below_ab = below_a & lt1[b1]
             c_floor = a2 if a2 > b[2] else b[2]
-            cs = below_ab & ~le2[c_floor]
             d_floor = a3 if a3 > b[3] else b[3]
+            upto_c = below_ab & le2[c_floor]
+            ceiling = order[(upto_c & -upto_c).bit_length() - 1][3]
+            if ceiling <= d_floor:
+                continue
+            cs = below_ab & ~le2[c_floor]
             while cs:
                 low = cs & -cs
                 cs ^= low
                 c = order[low.bit_length() - 1]
+                c3 = c[3]
+                if c3 >= ceiling:
+                    break
                 c2 = c[2]
                 ds = below_ab & lt2[c2]
                 if not ds:
                     continue
                 d3 = order[(ds & -ds).bit_length() - 1][3]
-                if d3 > d_floor and d3 > c[3]:
+                if d3 > d_floor and d3 > c3:
                     lcms.add((a0, b1, c2, d3))
     return tuple(sorted(lcms))
 

@@ -22,6 +22,16 @@ def ideal_of(*gens):
     return MonomialIdeal(gens)
 
 
+class CountedColumn(dict):
+    """A generator column that counts the lookups made in it."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        CountedColumn.reads += 1
+        return super().__getitem__(v)
+
+
 def staircase(q, seed):
     """q distinct monomials of total degree q // 4 + 1: an antichain."""
     d = q // 4 + 1

@@ -113,6 +113,26 @@ MUTANTS = {
         "return tuple(sorted(lcms))[1:]",
         (ACCEPTANCE + "test_criterion_02_beta4_golden",),
     ),
+    "quadruples: ceiling skip and break removed": (
+        "engine.py",
+        "ceiling = order[(upto_c & -upto_c).bit_length() - 1][3]",
+        "ceiling = order[-1][3] + 1",
+        ("tests/test_engine.py::test_the_d3_ceiling_prunes_most_of_the_quadruple_search",),
+    ),
+    "quadruples: ceiling taken on below_a instead of below_ab": (
+        "engine.py",
+        "upto_c = below_ab & le2[c_floor]",
+        "upto_c = below_a & le2[c_floor]",
+        ("tests/test_engine.py::test_dominant_quadruples_match_the_subset_scan",
+         "tests/test_engine.py::test_dominant_quadruples_match_the_oracle_at_large_q"),
+    ),
+    "quadruples: break one exponent early": (
+        "engine.py",
+        "if c3 >= ceiling:",
+        "if c3 + 1 >= ceiling:",
+        ("tests/test_engine.py::test_dominant_quadruples_match_the_subset_scan",
+         "tests/test_engine.py::test_dominant_quadruples_match_the_oracle_at_large_q"),
+    ),
     "pd2: smallest instead of second-smallest column exponent": (
         "engine.py",
         "sorted(column)[1]",

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 from conftest import (
+    CountedColumn,
     ideal_of,
     ideals,
     lcm_lattice,
@@ -42,7 +43,7 @@ from betti4.engine import (
     upward_closure,
 )
 from betti4.errors import GeneratorCapExceeded, InternalInconsistency, InvariantViolation
-from betti4.homology import ALL_FIELDS, oracle_betti
+from betti4.homology import ALL_FIELDS, RATIONALS, oracle_betti
 from betti4.monomials import UNIT, MonomialIdeal, divides, lcm
 from betti4.multidegrees import enumerate_multidegrees, generator_columns
 from betti4.parsing import DEFAULT_EXP_CAP
@@ -392,6 +393,26 @@ def _dominant_quadruples_by_scan(ideal):
 @example(FIVE_AT_CAP)
 def test_dominant_quadruples_match_the_subset_scan(ideal):
     assert dominant_quadruples(ideal) == _dominant_quadruples_by_scan(ideal)
+
+
+@pytest.mark.parametrize("q", [40, 60, 100, 200])
+def test_dominant_quadruples_match_the_oracle_at_large_q(q):
+    # the subset scan cannot reach these sizes; the oracle's beta4 rows,
+    # from Koszul homology alone, can
+    ideal = staircase(q, 17)
+    rows = oracle_betti(ideal, RATIONALS, q, want_multigraded=True).multigraded
+    assert dominant_quadruples(ideal) == tuple(m for m, row in rows.items() if row[4])
+
+
+def test_the_d3_ceiling_prunes_most_of_the_quadruple_search(monkeypatch):
+    # each c candidate the search examines costs one read of below[2];
+    # without the ceiling this staircase makes 517,674 of them
+    ideal = staircase(200, 17)
+    order, upto, (lt0, lt1, lt2, lt3) = generator_columns(ideal.gens)
+    monkeypatch.setattr(CountedColumn, "reads", 0)
+    lcms = dominant_quadruples(ideal, (order, upto, (lt0, lt1, CountedColumn(lt2), lt3)))
+    assert CountedColumn.reads < 50_000
+    assert lcms == dominant_quadruples(ideal)
 
 
 @given(MODEL_OR_STAIRCASE)

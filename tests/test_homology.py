@@ -332,3 +332,13 @@ def test_oracle_imports_no_formula_code():
         "print(sorted(m for m in sys.modules if m in ('betti4.engine', 'betti4.atlas')))"
     )
     assert run_fresh_interpreter(probe).strip() == "[]"
+
+
+def test_cli_import_loads_neither_the_oracle_nor_csv():
+    # the betti path starts without them: verify, atlas --check and
+    # experiment import them when they run
+    probe = (
+        "import sys, betti4.cli\n"
+        "print(sorted(m for m in sys.modules if m in ('betti4.homology', 'csv')))"
+    )
+    assert run_fresh_interpreter(probe).strip() == "[]"

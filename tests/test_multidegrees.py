@@ -1,7 +1,16 @@
 from itertools import combinations
 
 import pytest
-from conftest import ideal_of, ideals, is_cone, lcm_lattice, model_ideals, model_or_staircase, staircase
+from conftest import (
+    CountedColumn,
+    ideal_of,
+    ideals,
+    is_cone,
+    lcm_lattice,
+    model_ideals,
+    model_or_staircase,
+    staircase,
+)
 from hypothesis import given
 from reference import k_polynomial, lcm_all
 
@@ -132,16 +141,6 @@ def test_routes_agree_on_a_hundred_generator_staircase():
     assert table.betti[4] > 0
 
 
-class _CountedColumn(dict):
-    """A below column that counts the lookups made in it."""
-
-    reads = 0
-
-    def __getitem__(self, v):
-        _CountedColumn.reads += 1
-        return super().__getitem__(v)
-
-
 def test_walk_tests_far_fewer_points_than_the_lattice_holds(monkeypatch):
     # the lcm lattice of this staircase has 62,645 points (too slow to
     # rebuild here), most of them cones; the walk grows lcms from live
@@ -151,17 +150,17 @@ def test_walk_tests_far_fewer_points_than_the_lattice_holds(monkeypatch):
 
     def counted(gens):
         order, upto, below = build(gens)
-        return order, upto, tuple(map(_CountedColumn, below))
+        return order, upto, tuple(map(CountedColumn, below))
 
     monkeypatch.setattr(multidegrees, "generator_columns", counted)
-    monkeypatch.setattr(_CountedColumn, "reads", 0)
+    monkeypatch.setattr(CountedColumn, "reads", 0)
     enumerate_multidegrees.cache_clear()
     try:
         walked = enumerate_multidegrees(staircase(100, 13), 100)
     finally:
         enumerate_multidegrees.cache_clear()
-    assert _CountedColumn.reads % 4 == 0
-    tests = _CountedColumn.reads // 4
+    assert CountedColumn.reads % 4 == 0
+    tests = CountedColumn.reads // 4
     assert len(walked) <= tests < 62_645 // 2
 
 
