@@ -7,44 +7,13 @@ every number independently.
 
 import importlib
 
-from .errors import (
-    Betti4Error,
-    ExponentCapExceeded,
-    GeneratorCapExceeded,
-    InputUnreadable,
-    InternalInconsistency,
-    InvariantViolation,
-    ParseError,
-    VariableOutOfRange,
-)
-from .monomials import (
-    NUM_VARS,
-    UNIT,
-    MonomialIdeal,
-    divides,
-    lcm,
-    minimalize,
-    support_mask,
-)
-from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
-from .parsing import DEFAULT_EXP_CAP, parse_ideal
-from .squarefree import SquarefreeIdeal, mask_monomial, mask_string, parse_mask, shape_descriptor
-from .tables import BettiTable
-from .twins import TwinBundle, build_bundle
-
 __version__ = "0.1.0"
 
-# The atlas and the engine build their tables when imported, so they load
-# on first use: importing the oracle alone must not pull in formula code.
-# The oracle loads on first use too, so the formula route never imports it.
+# Every public name, mapped to the module that defines it.  A module loads
+# on the first use of one of its names, so ``import betti4`` loads nothing
+# else, importing the oracle alone pulls in no formula code, and the
+# formula route never imports the oracle.
 _LAZY = {
-    "ALL_FIELDS": "homology",
-    "FieldSpec": "homology",
-    "RATIONALS": "homology",
-    "SimplicialComplex": "homology",
-    "koszul_complex": "homology",
-    "oracle_betti": "homology",
-    "reduced_homology_rank": "homology",
     "AtlasEntry": "atlas",
     "CanonicalForm": "atlas",
     "atlas_entries": "atlas",
@@ -54,7 +23,43 @@ _LAZY = {
     "dominant_quadruples": "engine",
     "full_table": "engine",
     "pd_two_condition": "engine",
+    "Betti4Error": "errors",
+    "ExponentCapExceeded": "errors",
+    "GeneratorCapExceeded": "errors",
+    "InputUnreadable": "errors",
+    "InternalInconsistency": "errors",
+    "InvariantViolation": "errors",
+    "ParseError": "errors",
+    "VariableOutOfRange": "errors",
+    "ALL_FIELDS": "homology",
+    "FieldSpec": "homology",
+    "RATIONALS": "homology",
+    "SimplicialComplex": "homology",
+    "koszul_complex": "homology",
+    "oracle_betti": "homology",
+    "reduced_homology_rank": "homology",
+    "NUM_VARS": "monomials",
+    "UNIT": "monomials",
+    "MonomialIdeal": "monomials",
+    "divides": "monomials",
+    "lcm": "monomials",
+    "minimalize": "monomials",
+    "support_mask": "monomials",
+    "DEFAULT_GEN_CAP": "multidegrees",
+    "enumerate_multidegrees": "multidegrees",
+    "DEFAULT_EXP_CAP": "parsing",
+    "parse_ideal": "parsing",
+    "SquarefreeIdeal": "squarefree",
+    "mask_monomial": "squarefree",
+    "mask_string": "squarefree",
+    "parse_mask": "squarefree",
+    "shape_descriptor": "squarefree",
+    "BettiTable": "tables",
+    "TwinBundle": "twins",
+    "build_bundle": "twins",
 }
+
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name):
@@ -64,50 +69,3 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
-
-
-__all__ = [
-    "ALL_FIELDS",
-    "AtlasEntry",
-    "Betti4Error",
-    "BettiTable",
-    "CanonicalForm",
-    "DEFAULT_EXP_CAP",
-    "DEFAULT_GEN_CAP",
-    "ExponentCapExceeded",
-    "FieldSpec",
-    "GeneratorCapExceeded",
-    "InputUnreadable",
-    "InternalInconsistency",
-    "InvariantViolation",
-    "MonomialIdeal",
-    "NUM_VARS",
-    "ParseError",
-    "RATIONALS",
-    "SimplicialComplex",
-    "SquarefreeIdeal",
-    "TwinBundle",
-    "UNIT",
-    "VariableOutOfRange",
-    "atlas_entries",
-    "atlas_records",
-    "build_bundle",
-    "canonicalize",
-    "divides",
-    "dominant_quadruples",
-    "enumerate_multidegrees",
-    "full_table",
-    "koszul_complex",
-    "lcm",
-    "lookup_multigraded",
-    "mask_monomial",
-    "mask_string",
-    "minimalize",
-    "oracle_betti",
-    "parse_ideal",
-    "parse_mask",
-    "pd_two_condition",
-    "reduced_homology_rank",
-    "shape_descriptor",
-    "support_mask",
-]

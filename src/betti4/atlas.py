@@ -124,11 +124,7 @@ def _load():
         entry = AtlasEntry(cid, gens, parse_mask(y_string), b2, b3)
         # the table only carries minimal generating sets, and the row
         # degree is always the lcm of the generators
-        SquarefreeIdeal(gens)
-        support = 0
-        for g in gens:
-            support |= g
-        if support != entry.y_m:
+        if SquarefreeIdeal(gens).support != entry.y_m:
             raise InternalInconsistency(f"entry {cid}: degree is not lcm of generators")
         if cid in entries:
             raise InternalInconsistency(f"entry {cid} is listed twice")

@@ -24,6 +24,12 @@ from .multidegrees import DEFAULT_GEN_CAP
 from .parsing import DEFAULT_EXP_CAP, parse_ideal
 from .squarefree import mask_monomial, mask_string
 
+# nothing here calls the twin reduction, but bench/run.py traces
+# twins.build_bundle and bench/test_bench.py expects it to be loaded
+# once the CLI is, so the CLI keeps importing it until the bench drops
+# that span
+from . import twins  # noqa: F401
+
 # the oracle and csv are imported by the subcommands that use them, so
 # ``betti`` starts without them
 

@@ -5,7 +5,7 @@ squarefree monomials is mask inclusion.  Bit-strings elsewhere in the
 package render masks with y1 leftmost.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InvariantViolation
 from .values import Value, set_field
@@ -75,12 +75,10 @@ def permute_mask(mask, perm):
     return out
 
 
-class Shape(NamedTuple):
-    """The features of a squarefree ideal that the closed formulas test."""
-
-    count: int
-    degrees: tuple  # sorted multiset of generator degrees
-    semidominance: int  # 0 iff the ideal is dominant
+Shape = namedtuple("Shape", ("count", "degrees", "semidominance"))
+Shape.__doc__ = """The features of a squarefree ideal that the closed formulas test:
+the generator count, the sorted multiset of generator degrees, and the
+semidominance, 0 iff the ideal is dominant."""
 
 
 def dominant_mask_members(gens):

@@ -38,6 +38,7 @@ ACCEPTANCE = "tests/test_acceptance.py::"
 CENSUS = ACCEPTANCE + "test_criterion_14_both_routes_give_the_key_row_at_every_point_configuration"
 WALK = ("tests/test_multidegrees.py::test_multidegrees_are_exactly_the_subset_lcms",
         "tests/test_multidegrees.py::test_cones_are_left_out")
+CLI_LOADS = "tests/test_source.py::test_entry_point_loads_only_what_it_uses[betti4.cli]"
 
 # name -> (file in src/betti4, exact snippet, replacement, tests expected to kill it)
 MUTANTS = {
@@ -188,6 +189,70 @@ MUTANTS = {
         "    return _interned_complex(bits)\n",
         "    return _interned_complex(bits & 0xFF)\n",
         ("tests/test_homology.py::test_koszul_complex_matches_the_shift_definition",),
+    ),
+    "homology: unit row with beta0 = 0": (
+        "homology.py",
+        "rows = {b: (1, h[0], h[1], h[2], h[3])}",
+        "rows = {b: (0, h[0], h[1], h[2], h[3])}",
+        ("tests/test_homology.py::test_oracle_degenerate_conventions",),
+    ),
+    "key table: HOLLOW is the family of every mask": (
+        "engine.py",
+        "HOLLOW = upward_closure((1, 2, 4, 8))",
+        "HOLLOW = UP[0]",
+        ("tests/test_engine.py::test_beta4_rows_sit_at_the_dominant_quadruple_lcms",),
+    ),
+    "key table: beta1 = 1 on every key": (
+        "engine.py",
+        "int(len(gens) == 1)",
+        "1",
+        (ACCEPTANCE + "test_criterion_01_worked_example_betti_table",),
+    ),
+    "values: __setattr__ assigns": (
+        "values.py",
+        'raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")',
+        "set_field(self, name, value)",
+        ("tests/test_values.py::test_fields_cannot_be_assigned_or_deleted",),
+    ),
+    "values: imports dataclasses": (
+        "values.py",
+        "set_field = object.__setattr__\n",
+        "set_field = object.__setattr__\nimport dataclasses  # noqa: E402,F401\n",
+        ("tests/test_source.py::test_package_never_imports_dataclasses", CLI_LOADS),
+    ),
+    "cli: BrokenPipeError handler removed": (
+        "cli.py",
+        "    try:\n"
+        "        code = main()\n"
+        "        sys.stdout.flush()\n"
+        "    except BrokenPipeError:\n",
+        "    code = main()\n"
+        "    sys.stdout.flush()\n"
+        "    if False:\n",
+        ("tests/test_cli.py::test_a_reader_that_stops_early_gets_no_traceback",),
+    ),
+    "cli: experiment buffers its rows": (
+        "cli.py",
+        "        writer.writerow([index, len(ideal.gens), b[2], b[3], b[4], table.pd,\n"
+        "                         str(greater).lower()])\n",
+        "        buffered = [*(buffered if index else ()),\n"
+        "                    [index, len(ideal.gens), b[2], b[3], b[4], table.pd,\n"
+        "                     str(greater).lower()]]\n"
+        "    if args.samples:\n"
+        "        writer.writerows(buffered)\n",
+        ("tests/test_cli.py::test_experiment_streams_each_row_before_the_next_table",),
+    ),
+    "package: a public name mapped to the wrong module": (
+        "__init__.py",
+        '"parse_ideal": "parsing",',
+        '"parse_ideal": "monomials",',
+        ("tests/test_source.py::test_star_import_yields_every_public_name",),
+    ),
+    "cli: twins import dropped": (
+        "cli.py",
+        "from . import twins  # noqa: F401\n",
+        "",
+        (CLI_LOADS,),
     ),
 }
 

@@ -20,10 +20,17 @@ def test_format_monomial():
 
 
 def test_betti_table_output(capsys):
-    code, out, err = run(capsys, "betti", "x1^2*x2^2, x1^2*x2*x3, x2*x3*x4^2, x3^2*x4^2")
+    ideal = "x1^2*x2^2, x1^2*x2*x3, x2*x3*x4^2, x3^2*x4^2"
+    code, out, err = run(capsys, "betti", ideal)
     assert code == 0 and err == ""
     assert "b0=1  b1=4  b2=3  b3=0  b4=0" in out
     assert "pd=2" in out and "pd2_condition=false" in out
+    # --table names the default style, and excludes --json
+    assert run(capsys, "betti", "--table", ideal) == (0, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--table", "--json", ideal])
+    assert exc.value.code == 2
+    assert "argument --json: not allowed with argument --table" in capsys.readouterr().err
 
 
 def test_betti_json_output(capsys):

@@ -5,6 +5,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
 from conftest import run_fresh_interpreter
 from mutants import stale_snippets
 
@@ -55,13 +56,43 @@ def test_package_never_imports_dataclasses():
     assert found == []
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    probe = textwrap.dedent("""
+def _package(*modules):
+    """The package and the given modules of it, as sys.modules names them."""
+    return ["betti4", *(f"betti4.{module}" for module in modules)]
+
+
+# entry point -> (interpreter options, the betti4 modules it loads, the
+# standard-library modules it must not load)
+ENTRY_POINTS = {
+    # every public name loads its module on first use
+    "betti4": ((), _package(), ()),
+    # the oracle loads no formula code: no parser, shape formula, twin
+    # reduction, atlas or engine
+    "betti4.homology": ((), _package("errors", "homology", "monomials", "multidegrees", "tables",
+                                     "values"), ()),
+    # the betti path loads neither the oracle nor csv (verify, atlas
+    # --check and experiment import them when they run), and twins only
+    # because the bench traces build_bundle; no dataclasses or inspect,
+    # which values.Value replaces, and no typing, checked under -S
+    # because site imports typing on some installations
+    "betti4.cli": (("-S",), _package("atlas", "cli", "engine", "errors", "monomials",
+                                     "multidegrees", "parsing", "squarefree", "tables", "twins",
+                                     "values"),
+                   ("csv", "dataclasses", "inspect", "typing")),
+}
+
+
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+def test_entry_point_loads_only_what_it_uses(entry_point):
+    # a fresh interpreter, so modules other tests imported do not count
+    options, package, absent = ENTRY_POINTS[entry_point]
+    probe = textwrap.dedent(f"""
         import sys
-        import betti4.cli
-        print(sorted(name for name in ("dataclasses", "inspect") if name in sys.modules))
+        import {entry_point}
+        print(sorted(name for name in sys.modules if name.partition(".")[0] == "betti4"))
+        print(sorted(name for name in {absent!r} if name in sys.modules))
     """)
-    assert run_fresh_interpreter(probe).splitlines() == ["[]"]
+    assert run_fresh_interpreter(probe, *options).splitlines() == [str(package), "[]"]
 
 
 def test_numbers_are_ascii_digits_only():
