@@ -1,5 +1,5 @@
 import pytest
-from conftest import ideal_of, ideals, lcm_lattice, model_or_staircase, staircase
+from conftest import ideal_of, ideals, lcm_lattice, model_or_staircase, run_fresh_interpreter, staircase
 from hypothesis import given, strategies as st
 from reference import multigraded_oracle
 
@@ -323,3 +323,13 @@ def test_homology_rank_rejects_dimensions_outside_the_four_vertices():
 def test_rationals_is_characteristic_zero():
     assert RATIONALS.characteristic == 0
     assert tuple(f.characteristic for f in ALL_FIELDS) == (0, 2, 3, 5)
+
+
+def test_cli_import_loads_neither_the_oracle_nor_csv():
+    # the betti path starts without them: verify, atlas --check and
+    # experiment import them when they run
+    probe = (
+        "import sys, betti4.cli\n"
+        "print(sorted(m for m in sys.modules if m in ('betti4.homology', 'csv')))"
+    )
+    assert run_fresh_interpreter(probe).strip() == "[]"

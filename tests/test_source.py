@@ -95,6 +95,16 @@ def test_entry_point_loads_only_what_it_uses(entry_point):
     assert run_fresh_interpreter(probe, *options).splitlines() == [str(package), "[]"]
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # without -S, so site's own imports count as a normal start does
+    probe = textwrap.dedent("""
+        import sys
+        import betti4.cli
+        print(sorted(name for name in ("dataclasses", "inspect") if name in sys.modules))
+    """)
+    assert run_fresh_interpreter(probe).splitlines() == ["[]"]
+
+
 def test_numbers_are_ascii_digits_only():
     # \d and str.isdigit (like isdecimal and isnumeric) also accept other
     # scripts' digits and superscripts, which int() then reads or rejects
