@@ -39,6 +39,8 @@ CENSUS = ACCEPTANCE + "test_criterion_14_both_routes_give_the_key_row_at_every_p
 WALK = ("tests/test_multidegrees.py::test_multidegrees_are_exactly_the_subset_lcms",
         "tests/test_multidegrees.py::test_cones_are_left_out")
 CLI_LOADS = "tests/test_source.py::test_entry_point_loads_only_what_it_uses[betti4.cli]"
+LOOPS = ("tests/test_multidegrees.py::test_both_loops_return_the_same_points",
+         "tests/test_multidegrees.py::test_both_loops_return_the_same_points_on_staircases")
 
 # name -> (file in src/betti4, exact snippet, replacement, tests expected to kill it)
 MUTANTS = {
@@ -107,6 +109,26 @@ MUTANTS = {
         "        live.append(UNIT)\n",
         "        pass\n",
         (ACCEPTANCE + "test_criterion_01_worked_example_betti_table",),
+    ),
+    "coordinate walk: runs on past the first cone in m3": (
+        "multidegrees.py",
+        "                    if below012 & lt3[m3]:\n"
+        "                        break\n",
+        "                    if below012 & lt3[m3]:\n"
+        "                        continue\n",
+        ("tests/test_multidegrees.py::test_walk_tests_far_fewer_points_than_the_lattice_holds",),
+    ),
+    "coordinate walk: m3 floor ignored": (
+        "multidegrees.py",
+        "                ds &= -floor\n",
+        "",
+        LOOPS,
+    ),
+    "coordinate walk: m3 steps one generator, not one exponent": (
+        "multidegrees.py",
+        "ds &= ~le3[m3]",
+        "ds ^= ds & -ds",
+        LOOPS,
     ),
     "beta4: one lcm dropped": (
         "engine.py",

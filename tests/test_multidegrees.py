@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import hypothesis.strategies as st
 import pytest
 from conftest import (
     CountedColumn,
@@ -11,7 +12,7 @@ from conftest import (
     model_or_staircase,
     staircase,
 )
-from hypothesis import given
+from hypothesis import example, given
 from reference import k_polynomial, lcm_all
 
 from betti4 import engine, multidegrees
@@ -20,7 +21,13 @@ from betti4.engine import full_table
 from betti4.errors import GeneratorCapExceeded
 from betti4.homology import ALL_FIELDS, oracle_betti
 from betti4.monomials import UNIT, MonomialIdeal
-from betti4.multidegrees import enumerate_multidegrees
+from betti4.multidegrees import (
+    COORDINATE_FROM,
+    _coordinate,
+    _pairwise,
+    enumerate_multidegrees,
+    generator_columns,
+)
 
 
 def test_known_multidegree_set():
@@ -141,27 +148,36 @@ def test_routes_agree_on_a_hundred_generator_staircase():
     assert table.betti[4] > 0
 
 
+def _counted_columns(gens):
+    """generator_columns(gens) with every upto and below column counting
+    the lookups made in it."""
+    order, upto, below, keys = generator_columns(gens)
+    return order, tuple(map(CountedColumn, upto)), tuple(map(CountedColumn, below)), keys
+
+
 def test_walk_tests_far_fewer_points_than_the_lattice_holds(monkeypatch):
     # the lcm lattice of this staircase has 62,645 points (too slow to
-    # rebuild here), most of them cones; the walk grows lcms from live
-    # points only, so it tests a fraction of them, each with one lookup
-    # in each variable's below column
-    build = multidegrees.generator_columns
-
-    def counted(gens):
-        order, upto, below = build(gens)
-        return order, upto, tuple(map(CountedColumn, below))
-
-    monkeypatch.setattr(multidegrees, "generator_columns", counted)
+    # rebuild here), most of them cones.  The pairwise loop grows lcms
+    # from live points only, so it tests a fraction of them, each with
+    # one lookup in each variable's below column.  The coordinate loop,
+    # which the walk takes at 100 generators, reads each column entry
+    # once up front and then two entries per m3 it tries, stopping at
+    # the first cone: under 4 reads per point it returns here, where
+    # running on past the cones would take 14
+    ideal = staircase(100, 13)
     monkeypatch.setattr(CountedColumn, "reads", 0)
-    enumerate_multidegrees.cache_clear()
-    try:
-        walked = enumerate_multidegrees(staircase(100, 13), 100)
-    finally:
-        enumerate_multidegrees.cache_clear()
+    walked = _pairwise(ideal.gens, _counted_columns(ideal.gens))
     assert CountedColumn.reads % 4 == 0
     tests = CountedColumn.reads // 4
     assert len(walked) <= tests < 62_645 // 2
+    monkeypatch.setattr(multidegrees, "generator_columns", _counted_columns)
+    monkeypatch.setattr(CountedColumn, "reads", 0)
+    enumerate_multidegrees.cache_clear()
+    try:
+        assert enumerate_multidegrees(ideal, 100) == tuple(walked)
+    finally:
+        enumerate_multidegrees.cache_clear()
+    assert len(walked) <= CountedColumn.reads < min(4 * len(walked), 62_645 // 2)
 
 
 def test_columns_are_built_once_per_ideal(monkeypatch, capsys):
@@ -194,3 +210,38 @@ def test_degrees_sorted_and_deduplicated(ideal):
     degrees = enumerate_multidegrees(ideal)
     listing = list(degrees)
     assert listing == sorted(set(listing))
+
+
+def _random_ideals():
+    """1-40 generators with exponents up to 1, 3, 10 or 1000."""
+    return st.sampled_from([1, 3, 10, 1000]).flatmap(lambda top: ideals(max_gens=40, max_exp=top))
+
+
+@given(model_ideals() | _random_ideals())
+@example(MonomialIdeal(()))
+@example(MonomialIdeal((UNIT,)))
+def test_both_loops_return_the_same_points(ideal):
+    # each loop runs on every ideal, whichever the walk would pick
+    columns = generator_columns(ideal.gens)
+    expected = _pairwise(ideal.gens, columns)
+    assert _coordinate(ideal.gens, columns) == expected
+    assert enumerate_multidegrees(ideal, 40) == tuple(expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_both_loops_return_the_same_points_on_staircases(seed):
+    for q in range(1, 80):
+        ideal = staircase(q, seed)
+        columns = generator_columns(ideal.gens)
+        assert _coordinate(ideal.gens, columns) == _pairwise(ideal.gens, columns), q
+
+
+def test_the_walk_picks_its_loop_by_generator_count(monkeypatch):
+    picked = []
+    for loop in (_pairwise, _coordinate):
+        monkeypatch.setattr(multidegrees, loop.__name__,
+                            lambda gens, columns, loop=loop: picked.append(loop) or loop(gens, columns))
+    for q in (1, COORDINATE_FROM - 1, COORDINATE_FROM, 28):
+        enumerate_multidegrees.cache_clear()
+        enumerate_multidegrees(staircase(q, 3), 40)
+    assert picked == [_pairwise, _pairwise, _coordinate, _coordinate]

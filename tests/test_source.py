@@ -120,17 +120,10 @@ def test_numbers_are_ascii_digits_only():
 
 
 def _identifiers(tree):
-    """(line, name) of every name a tree binds, reads, imports or defines.
-
-    A bare annotation (a field declaration such as ``count: int`` in a
-    NamedTuple) binds nothing, so its target is not one of them.
-    """
-    declared = {id(node.target) for node in ast.walk(tree)
-                if isinstance(node, ast.AnnAssign) and node.value is None}
+    """(line, name) of every name a tree binds, reads, imports or defines."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            if id(node) not in declared:
-                yield node.lineno, node.id
+            yield node.lineno, node.id
         elif isinstance(node, ast.Attribute):
             yield node.lineno, node.attr
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
