@@ -57,7 +57,7 @@ def dominant_quadruples(ideal, columns=None):
     gens = ideal.gens
     if len(gens) < 4:
         return ()
-    order, (le0, le1, le2, _), (lt0, lt1, lt2, _), _ = columns or generator_columns(gens)
+    order, (le0, le1, le2, _), (lt0, lt1, lt2, _) = columns or generator_columns(gens)
     lcms = set()
     # ~le_j[v] holds the generators with x_j > v and lt_j[v] those with
     # x_j < v; v is a generator exponent throughout, and positive
@@ -209,7 +209,7 @@ def _rows_on_columns(columns, degrees):
     every E_j, i.e. iff m is a cone; then up holds all 16 masks, of
     empty support, so m has the zero row unless m = 1 (the unit ideal).
     """
-    _, (le0, le1, le2, le3), (lt0, lt1, lt2, lt3), _ = columns
+    _, (le0, le1, le2, le3), (lt0, lt1, lt2, lt3) = columns
     get = NONZERO_ROWS.get
     rows = {}
     for m in degrees:

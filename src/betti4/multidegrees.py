@@ -31,16 +31,17 @@ _X4 = itemgetter(3)
 def generator_columns(gens):
     """Per-variable bitset columns of the generators, one bit apiece.
 
-    Returns (order, upto, below, keys).  Bit i stands for order[i]: the
-    generators sorted by x4, ties left in lex order.  keys[j] lists, in
-    increasing order, 0 and every x_j exponent of the generators, which
-    are all the coordinates an lcm-lattice point can have.  upto[j] and
-    below[j] are dicts keyed by keys[j]: upto[j][v] holds the generators
-    with x_j <= v and, for v > 0, below[j][v] those with x_j < v, while
-    below[j][0] holds those with x_j == 0.  So for any point m,
-    below[j][m_j] holds the generators that lie strictly below m in x_j
-    if x_j is in supp(m) and off x_j otherwise.  Their size follows the
-    number of generators, not the size of the exponents.
+    Returns (order, upto, below).  Bit i stands for order[i]: the
+    generators sorted by x4, ties left in lex order.  upto[j] and
+    below[j] are dicts keyed by 0 and every x_j exponent of the
+    generators, which are all the coordinates an lcm-lattice point can
+    have, and upto[j] holds its keys in increasing order: upto[j][v]
+    holds the generators with x_j <= v and, for v > 0, below[j][v]
+    those with x_j < v, while below[j][0] holds those with x_j == 0.
+    So for any point m, below[j][m_j] holds the generators that lie
+    strictly below m in x_j if x_j is in supp(m) and off x_j otherwise.
+    Their size follows the number of generators, not the size of the
+    exponents.
     """
     order = sorted(gens, key=_X4)
     # each below column first holds, at each key, the generators equal to it
@@ -56,16 +57,15 @@ def generator_columns(gens):
     # over the increasing keys are the upto sets, and the union before
     # a key is its below set
     upto = {}, {}, {}, {}
-    keys = tuple(map(sorted, below))
-    for lt, up, ks in zip(below, upto, keys):
+    for lt, up in zip(below, upto):
         run = 0
-        for v in ks:
+        for v in sorted(lt):
             equal = lt[v]
             lt[v] = run
             run |= equal
             up[v] = run
         lt[0] = up[0]
-    return order, upto, below, keys
+    return order, upto, below
 
 
 def _pairwise(gens, columns):
@@ -116,12 +116,13 @@ def _coordinate(gens, columns):
     m is an lcm of generators iff the generators dividing it attain each
     of its coordinates: m_j is the x_j exponent of a witness, a
     generator that divides m, for each j.  So the loops run m0, m1 and
-    m2 over the keys and keep, for each fixed coordinate, its witnesses
-    among the generators that divide the partial point; a value with no
-    divisor or no witness is skipped.  The below sets only grow with a
-    coordinate, and the smallest value of a coordinate not yet fixed is
-    0, so once the fixed below sets meet those at 0 every larger value
-    is a cone as well and the loop breaks.  m3 must reach the x4
+    m2 up the keys of the upto columns and keep, for each fixed
+    coordinate, its witnesses among the generators that divide the
+    partial point; a value with no divisor or no witness is skipped.
+    The below sets only grow with a coordinate, and the smallest value
+    of a coordinate not yet fixed is 0, so once the fixed below sets
+    meet those at 0 every larger value is a cone as well and the loop
+    breaks.  m3 must reach the x4
     exponent of some witness of each fixed coordinate; the bits run in
     x4 order, so the lowest bit of each witness set carries its least
     exponent, and the highest of those bits is the floor.  m3 then runs
@@ -131,17 +132,17 @@ def _coordinate(gens, columns):
     first: in the unit ideal it is a cone, and otherwise no generator
     divides it, so the loops never reach it.
     """
-    order, (le0, le1, le2, le3), (lt0, lt1, lt2, lt3), (keys0, keys1, keys2, _) = columns
+    order, (le0, le1, le2, le3), (lt0, lt1, lt2, lt3) = columns
     # (v, upto, below, the generators with x_j == v): below[j][0] holds
     # those at 0, and above 0 they are upto minus below
-    col1 = [(v, le1[v], lt1[v], le1[v] ^ lt1[v] if v else lt1[v]) for v in keys1]
-    col2 = [(v, le2[v], lt2[v], le2[v] ^ lt2[v] if v else lt2[v]) for v in keys2]
+    col1 = [(v, up, lt1[v], up ^ lt1[v] if v else up) for v, up in le1.items()]
+    col2 = [(v, up, lt2[v], up ^ lt2[v] if v else up) for v, up in le2.items()]
     zero3 = lt3[0]
     zero23 = lt2[0] & zero3
     zero123 = lt1[0] & zero23
     points = [UNIT]
     emit = points.append
-    for m0 in keys0:
+    for m0 in le0:
         below0 = lt0[m0]
         if below0 & zero123:
             break

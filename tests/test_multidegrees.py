@@ -151,8 +151,8 @@ def test_routes_agree_on_a_hundred_generator_staircase():
 def _counted_columns(gens):
     """generator_columns(gens) with every upto and below column counting
     the lookups made in it."""
-    order, upto, below, keys = generator_columns(gens)
-    return order, tuple(map(CountedColumn, upto)), tuple(map(CountedColumn, below)), keys
+    order, upto, below = generator_columns(gens)
+    return order, tuple(map(CountedColumn, upto)), tuple(map(CountedColumn, below))
 
 
 def test_walk_tests_far_fewer_points_than_the_lattice_holds(monkeypatch):
