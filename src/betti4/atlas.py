@@ -6,11 +6,11 @@ at the class degree can be looked up instead of computed.  Bit-strings
 are written with y1 leftmost.
 """
 
+from collections import namedtuple
 from itertools import permutations
 
 from .errors import InternalInconsistency
 from .squarefree import SquarefreeIdeal, mask_string, parse_mask, permute_mask
-from .values import Value, set_field
 
 # (id, generators, degree, beta2, beta3).  Generators appear in their
 # traditional listing order; they are sorted as masks when parsed.
@@ -89,31 +89,13 @@ _PERMS = tuple(permutations(range(4)))
 _RELABEL = tuple(tuple(permute_mask(mask, perm) for mask in range(16)) for perm in _PERMS)
 
 
-class AtlasEntry(Value):
-    """One of the 66 classes with its tabulated multigraded Betti row.
+AtlasEntry = namedtuple("AtlasEntry", ("id", "gens", "y_m", "beta2", "beta3"))
+AtlasEntry.__doc__ = """One of the 66 classes with its tabulated multigraded Betti row.
 
-    gens holds the sorted masks of the generators.
-    """
+gens holds the sorted masks of the generators."""
 
-    __slots__ = ("id", "gens", "y_m", "beta2", "beta3")
-
-    def __init__(self, id, gens, y_m, beta2, beta3):
-        set_field(self, "id", id)
-        set_field(self, "gens", gens)
-        set_field(self, "y_m", y_m)
-        set_field(self, "beta2", beta2)
-        set_field(self, "beta3", beta3)
-
-
-class CanonicalForm(Value):
-    """Result of canonicalization: class id, witnessing relabeling, least form."""
-
-    __slots__ = ("class_id", "permutation", "canonical_gens")
-
-    def __init__(self, class_id, permutation, canonical_gens):
-        set_field(self, "class_id", class_id)
-        set_field(self, "permutation", permutation)
-        set_field(self, "canonical_gens", canonical_gens)
+CanonicalForm = namedtuple("CanonicalForm", ("class_id", "permutation", "canonical_gens"))
+CanonicalForm.__doc__ = "Result of canonicalization: class id, witnessing relabeling, least form."
 
 
 def _load():

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import re
 import sys
 
@@ -30,8 +29,8 @@ from .squarefree import mask_monomial, mask_string
 # that span
 from . import twins  # noqa: F401
 
-# the oracle and csv are imported by the subcommands that use them, so
-# ``betti`` starts without them
+# the oracle, csv and random are imported by the subcommands that use
+# them, so ``betti`` starts without them
 
 SCHEMA_VERSION = 1
 
@@ -221,6 +220,7 @@ def sample_ideal(rng, max_gens, max_exp):
 
 def cmd_experiment(args):
     import csv
+    import random
 
     rng = random.Random(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")

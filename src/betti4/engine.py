@@ -246,12 +246,12 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     out carry nothing.  The walk returns the generator columns it tested
     its points on, and both the keying and the dominant quadruples read
     those, so the columns are built once per ideal.  Every row of the
-    optional multigraded map is a key-table row.  The totals are cross-checked against the generators
-    (beta1 = q), the Euler characteristic (0, or 1 for the zero ideal)
-    and the paper's independent beta4 route: the rows with a beta4 must
-    sit exactly at the lcms of the dominant quadruples.  Together the
-    first two give beta3 = 1 + beta2 + beta4 - q for every ideal with
-    a generator.
+    optional multigraded map is a key-table row.  The totals are
+    cross-checked against the generators (beta1 = q), the Euler
+    characteristic (0, or 1 for the zero ideal) and the paper's
+    independent beta4 route: the rows with a beta4 must sit exactly at
+    the lcms of the dominant quadruples.  Together the first two give
+    beta3 = 1 + beta2 + beta4 - q for every ideal with a generator.
     """
     degrees = enumerate_multidegrees(ideal, cap)
     # keyed by the generators' exponents and 0, the columns cover every lcm

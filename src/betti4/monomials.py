@@ -59,7 +59,10 @@ class MonomialIdeal(Value):
     def __init__(self, gens):
         gens = tuple(gens)
         for g in gens:
-            if len(g) != NUM_VARS or min(g) < 0:
+            # exponents are exactly ints (no bool, float or NaN), so min compares numbers
+            if (len(g) != NUM_VARS
+                    or not type(g[0]) is type(g[1]) is type(g[2]) is type(g[3]) is int
+                    or min(g) < 0):
                 raise InvariantViolation(f"bad monomial {g!r}")
         # an ideal is a hashable value: an unhashable generator raises
         # TypeError in minimalize's set()

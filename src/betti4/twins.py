@@ -9,28 +9,19 @@ Betti numbers of the original ideal at m equal those of the squarefree
 image at the support of m.
 """
 
+from collections import namedtuple
+
 from .monomials import MonomialIdeal, divides, support_mask
 from .squarefree import SquarefreeIdeal
-from .values import Value, set_field
 
 
-class TwinBundle(Value):
-    """Everything the reduction pipeline derives from one multidegree.
+TwinBundle = namedtuple("TwinBundle", ("m", "restriction", "twin_images", "twin", "squarefree",
+                                       "y_m"))
+TwinBundle.__doc__ = """Everything the reduction pipeline derives from one multidegree.
 
-    twin_images keeps the pre-minimalization images index-aligned with
-    restriction.gens; divisibility statements among restricted
-    generators transfer to these images index by index.
-    """
-
-    __slots__ = ("m", "restriction", "twin_images", "twin", "squarefree", "y_m")
-
-    def __init__(self, m, restriction, twin_images, twin, squarefree, y_m):
-        set_field(self, "m", m)
-        set_field(self, "restriction", restriction)
-        set_field(self, "twin_images", twin_images)
-        set_field(self, "twin", twin)
-        set_field(self, "squarefree", squarefree)
-        set_field(self, "y_m", y_m)
+twin_images keeps the pre-minimalization images index-aligned with
+restriction.gens; divisibility statements among restricted
+generators transfer to these images index by index."""
 
 
 def build_bundle(ideal, m):

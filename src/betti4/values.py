@@ -1,9 +1,16 @@
-"""The immutable base shared by the package's value types.
+"""The immutable base of the package's checked value types.
 
-The types are plain __slots__ classes rather than dataclasses: importing
-dataclasses pulls in inspect, ast and dis, and decorating a class
-generates and compiles its methods, which together made up about a
-quarter of the command line's start-up.
+A value type is one whose constructor checks an invariant and raises on
+bad input: MonomialIdeal, SquarefreeIdeal, FieldSpec, SimplicialComplex
+and BettiTable.  Equality between values is type-strict.  A record
+whose fields need no check (Shape, AtlasEntry, CanonicalForm,
+TwinBundle) is a collections.namedtuple instead, and equals the plain
+tuple of its fields.
+
+The value types are plain __slots__ classes rather than dataclasses:
+importing dataclasses pulls in inspect, ast and dis, and decorating a
+class generates and compiles its methods, which together made up about
+a quarter of the command line's start-up.
 """
 
 # sets a field from a value type's own __init__, past Value.__setattr__

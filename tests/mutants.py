@@ -168,6 +168,20 @@ MUTANTS = {
         'set_field(self, "gens", gens)',
         ("tests/test_monomials.py::test_ideal_keeps_the_minimal_generators",),
     ),
+    "ideal: exponent type check dropped": (
+        "monomials.py",
+        "                    or not type(g[0]) is type(g[1]) is type(g[2]) is type(g[3]) is int\n",
+        "",
+        ("tests/test_values.py::test_validated_constructors_keep_their_errors",
+         "tests/test_source.py::test_invariants_hold_under_python_O"),
+    ),
+    "twins: twin and squarefree fields swapped in TwinBundle": (
+        "twins.py",
+        '"twin", "squarefree",',
+        '"squarefree", "twin",',
+        ("tests/test_twins.py::test_twin_keeps_attained_exponents_and_minimalizes",
+         "tests/test_twins.py::test_squarefree_twin_reads_attained_variables"),
+    ),
     "atlas: completeness check dropped": (
         "atlas.py",
         "    if len(labeled) != 167:\n"

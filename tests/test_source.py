@@ -70,15 +70,16 @@ ENTRY_POINTS = {
     # reduction, atlas or engine
     "betti4.homology": ((), _package("errors", "homology", "monomials", "multidegrees", "tables",
                                      "values"), ()),
-    # the betti path loads neither the oracle nor csv (verify, atlas
-    # --check and experiment import them when they run), and twins only
-    # because the bench traces build_bundle; no dataclasses or inspect,
-    # which values.Value replaces, and no typing, checked under -S
-    # because site imports typing on some installations
+    # the betti path loads neither the oracle, csv nor random (verify,
+    # atlas --check and experiment import them when they run), and
+    # twins only because the bench traces build_bundle; no dataclasses
+    # or inspect, which values.Value replaces, and no typing; checked
+    # under -S because site imports typing and random on some
+    # installations
     "betti4.cli": (("-S",), _package("atlas", "cli", "engine", "errors", "monomials",
                                      "multidegrees", "parsing", "squarefree", "tables", "twins",
                                      "values"),
-                   ("csv", "dataclasses", "inspect", "typing")),
+                   ("csv", "dataclasses", "inspect", "random", "typing")),
 }
 
 
@@ -247,6 +248,7 @@ def test_invariants_hold_under_python_O():
             "negative row entry": lambda: BettiTable(
                 (1, 0, 0, 0, 0), {(0, 0, 0, 0): (1, 1, 0, 0, 0), (1, 0, 0, 0): (0, -1, 0, 0, 0)}),
             "three-entry monomial": lambda: MonomialIdeal(((1, 0, 0),)),
+            "float exponent": lambda: MonomialIdeal(((1.5, 0, 0, 0),)),
         }
         print(sys.flags.optimize)
         for name, build in cases.items():
@@ -269,6 +271,7 @@ def test_invariants_hold_under_python_O():
         "six-entry row raised",
         "negative row entry raised",
         "three-entry monomial raised",
+        "float exponent raised",
         "pd argument refused",
         "pd 2 4",
     ]

@@ -1,4 +1,4 @@
-"""The immutable value types: equality, hashing, repr and refused assignment."""
+"""The immutable value types and records: equality, hashing, repr and refused assignment."""
 
 import copy
 import pickle
@@ -15,6 +15,10 @@ from betti4.twins import TwinBundle, build_bundle
 from betti4.values import Value
 
 KOSZUL = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+
+# the types whose constructor checks an invariant derive from Value; the
+# rest are namedtuple records
+CHECKED = ("MonomialIdeal", "BettiTable", "SimplicialComplex", "FieldSpec", "SquarefreeIdeal")
 
 # (build one value, build a different value of the same type); every call
 # builds a new instance
@@ -36,16 +40,24 @@ CASES = {
 def test_equal_values_are_equal_and_hash_equal(name):
     make, make_other = CASES[name]
     value, twin = make(), make()
-    assert type(value).__name__ == name and isinstance(value, Value)
+    assert type(value).__name__ == name
+    assert isinstance(value, Value) == (name in CHECKED)
+    assert isinstance(value, tuple) == (name not in CHECKED)
     assert value is not twin and value == twin and not value != twin
     assert hash(value) == hash(twin)
     assert value != make_other() and len({value, twin, make_other()}) == 2
 
 
+def _field_names(value):
+    """A checked type's fields are its __slots__, a record's its _fields."""
+    return type(value).__slots__ if isinstance(value, Value) else type(value)._fields
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_fields_cannot_be_assigned_or_deleted(name):
     value = CASES[name][0]()
-    for field in type(value).__slots__:
+    assert _field_names(value)
+    for field in _field_names(value):
         before = getattr(value, field)
         with pytest.raises(AttributeError):
             setattr(value, field, before)
@@ -70,6 +82,8 @@ def test_equality_holds_only_within_one_type():
     assert SquarefreeIdeal(()) != MonomialIdeal(())
     assert FieldSpec(0) != 0 and SimplicialComplex(0) != 0
     assert MonomialIdeal(KOSZUL) != KOSZUL
+    # a record, by contrast, equals the plain tuple of its fields
+    assert ENTRIES[3] == (3, (1, 2), 3, 1, 0)
 
 
 def test_repr_names_every_field():
@@ -93,7 +107,7 @@ def test_constructors_take_their_fields_by_keyword():
     assert BettiTable(betti=(1, 0, 0, 0, 0), multigraded=None) == BettiTable((1, 0, 0, 0, 0))
     assert MonomialIdeal(gens=KOSZUL) == MonomialIdeal(KOSZUL)
     bundle = build_bundle(MonomialIdeal(KOSZUL), (1, 1, 1, 1))
-    assert TwinBundle(**{field: getattr(bundle, field) for field in TwinBundle.__slots__}) == bundle
+    assert TwinBundle(**{field: getattr(bundle, field) for field in TwinBundle._fields}) == bundle
     assert canonicalize(SquarefreeIdeal((1, 2))) == CanonicalForm(
         class_id=3, permutation=(0, 1, 2, 3), canonical_gens=(1, 2))
 
@@ -119,6 +133,10 @@ def test_validated_constructors_keep_their_errors():
         MonomialIdeal(((0, 1, 1, 0), (0, -1, 0, 0)))
     with pytest.raises(InvariantViolation, match="bad monomial"):
         MonomialIdeal(((0, 1, 0),))
+    # an exponent must be exactly an int, checked before min compares it
+    for bad in ((float("nan"), 0, 0, 0), (1.5, 2, 0, 0), (True, 0, 0, 0), ("a", 0, 0, 0)):
+        with pytest.raises(InvariantViolation, match=r"bad monomial \("):
+            MonomialIdeal(((0, 1, 1, 0), bad))
     with pytest.raises(TypeError):
         MonomialIdeal(([0, 1, 0, 0],))
     with pytest.raises(ValueError, match="unsupported characteristic 7"):
