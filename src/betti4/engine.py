@@ -6,16 +6,19 @@ on the support of m, and the 168 possible closures are tabulated at
 import, beta2 and beta3 from the shape weights, each checked against
 its atlas class.  full_table keys each point of the lattice walk (the
 unit and the lcm-lattice points that are not cones) with a fixed number
-of bit operations on the bitset generator columns that the walk built
-and tested its points on, looks its row up and sums the rows.  The
-distinct lcms of the dominant generator quadruples, found on the same
-columns, are the paper's independent beta4 route and the runtime
-cross-check of the table's beta4 column.
+of bit operations on the bitset generator columns the walk runs on,
+looks its row up and sums the rows.  Below COORDINATE_FROM generators
+it keys the points of the pairwise walk, which the oracle shares; from
+there on it walks the lattice a coordinate at a time and keys each
+point as it reaches it.  The distinct lcms of the dominant generator
+quadruples, found on the same columns, are the paper's independent
+beta4 route and the runtime cross-check of the table's beta4 column.
 """
 
 from .atlas import ENTRIES, LABELED_CLASSES
 from .errors import InternalInconsistency
-from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees, generator_columns
+from .monomials import UNIT
+from .multidegrees import DEFAULT_GEN_CAP, check_cap, enumerate_multidegrees, generator_columns
 from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
 from .tables import BettiTable
 
@@ -237,15 +240,122 @@ def _rows_on_columns(columns, degrees):
     return rows
 
 
+# the generator count from which the keyed coordinate walk is faster than
+# the pairwise walk plus _rows_on_columns; CHANGES.md has the table of
+# both by q on random, same-degree and generic ideals
+COORDINATE_FROM = 10
+
+
+def _coordinate_rows(columns):
+    """{m: row} for every lcm-lattice point m with a nonzero row, listed
+    a coordinate at a time and keyed as it is reached.
+
+    m is an lcm of generators iff the generators dividing it attain each
+    of its coordinates: m_j is the x_j exponent of a witness, a
+    generator that divides m, for each j.  So the loops run m0, m1 and
+    m2 up the keys of the upto columns and keep, for each fixed
+    coordinate, its witnesses among the generators that divide the
+    partial point; a value with no divisor or no witness is skipped.
+    The below sets only grow with a coordinate, and the smallest value
+    of a coordinate not yet fixed is 0, so once the fixed below sets
+    meet those at 0 every larger value is a cone as well and the loop
+    breaks.  m3 must reach the x4 exponent of some witness of each
+    fixed coordinate; the bits run in x4 order, so the lowest bit of
+    each witness set carries its least exponent, and the highest of
+    those bits is the floor.  m3 then runs over the x4 exponents of the
+    generators dividing (m0, m1, m2), each such generator a witness of
+    m3, from the floor up, one exponent at a time, until m is a cone.
+
+    Each point is keyed as in _rows_on_columns, on sets that the prefix
+    already holds: with d012 the generators dividing (m0, m1, m2) in
+    those variables, c_j = d012 & below[j][m_j] & upto[3][m3] for
+    j < 3 and c3 = d012 & below[3][m3].  A point the loops reach has a
+    divisor and is no cone, so bits 15 and 0 of its key are known.  The
+    unit is keyed on its own: in the unit ideal it is a cone, and
+    otherwise no generator divides it, so the loops never reach it.
+    """
+    order, (le0, le1, le2, le3), (lt0, lt1, lt2, lt3) = columns
+    get = NONZERO_ROWS.get
+    rows = _rows_on_columns(columns, (UNIT,))
+    # (v, upto, below, the generators with x_j == v): below[j][0] holds
+    # those at 0, and above 0 they are upto minus below
+    col1 = [(v, up, lt1[v], up ^ lt1[v] if v else up) for v, up in le1.items()]
+    col2 = [(v, up, lt2[v], up ^ lt2[v] if v else up) for v, up in le2.items()]
+    zero3 = lt3[0]
+    zero23 = lt2[0] & zero3
+    zero123 = lt1[0] & zero23
+    for m0 in le0:
+        below0 = lt0[m0]
+        if below0 & zero123:
+            break
+        divides0 = le0[m0]
+        witness0 = divides0 ^ below0 if m0 else below0
+        if not witness0:
+            continue
+        for m1, upto1, below1, equal1 in col1:
+            below01 = below0 & below1
+            if below01 & zero23:
+                break
+            divides01 = divides0 & upto1
+            witness01 = witness0 & upto1
+            witness1 = divides01 & equal1
+            if not (witness01 and witness1):
+                continue
+            for m2, upto2, below2, equal2 in col2:
+                below012 = below01 & below2
+                if below012 & zero3:
+                    break
+                d012 = divides01 & upto2
+                w0 = witness01 & upto2
+                w1 = witness1 & upto2
+                w2 = d012 & equal2
+                if not (w0 and w1 and w2):
+                    continue
+                floor = max(w0 & -w0, w1 & -w1, w2 & -w2)
+                ds = d012 & -floor
+                h0 = d012 & below0
+                h1 = d012 & below1
+                h2 = d012 & below2
+                support = (m0 and 0x10000) | (m1 and 0x20000) | (m2 and 0x40000)
+                while ds:
+                    m3 = order[(ds & -ds).bit_length() - 1][3]
+                    upto3 = le3[m3]
+                    ds &= ~upto3
+                    below3 = lt3[m3]
+                    if below012 & below3:
+                        break
+                    c0 = h0 & upto3
+                    c1 = h1 & upto3
+                    c2 = h2 & upto3
+                    c3 = d012 & below3
+                    c01 = c0 & c1
+                    c23 = c2 & c3
+                    up = (0x8000 | (c0 and 0x4000) | (c1 and 0x2000) | (c2 and 0x0800)
+                          | (c3 and 0x0080) | (c0 & c2 and 0x0400) | (c0 & c3 and 0x0040)
+                          | (c1 & c2 and 0x0200) | (c1 & c3 and 0x0020))
+                    if c01:
+                        up |= 0x1000 | (c01 & c2 and 0x0100) | (c01 & c3 and 0x0010)
+                    if c23:
+                        up |= 0x0008 | (c0 & c23 and 0x0004) | (c1 & c23 and 0x0002)
+                    row = get(up | support | (m3 and 0x80000))
+                    if row:
+                        rows[m0, m1, m2, m3] = row
+    return rows
+
+
 def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     """Betti numbers beta0..beta4 as column sums of key-table rows.
 
-    The rows are read at the points enumerate_multidegrees returns: the
-    unit and the lcm-lattice points that are not cones.  A cone keys to
-    the full family of twin masks, whose row is zero, so the points left
-    out carry nothing.  The walk returns the generator columns it tested
-    its points on, and both the keying and the dominant quadruples read
-    those, so the columns are built once per ideal.  Every row of the
+    The rows are read at the unit and the lcm-lattice points that are
+    not cones.  A cone keys to the full family of twin masks, whose row
+    is zero, so the points left out carry nothing.  Below
+    COORDINATE_FROM generators they are the points enumerate_multidegrees
+    returns, which the oracle's walk shares, keyed by _rows_on_columns;
+    from there on _coordinate_rows walks and keys them in one pass, so
+    verify checks that walk against the oracle's.  Either way the
+    refusal over the cap is check_cap's, and the keying and the dominant
+    quadruples read one set of generator columns, built once per ideal.
+    Every row of the
     optional multigraded map is a key-table row.  The totals are
     cross-checked against the generators (beta1 = q), the Euler
     characteristic (0, or 1 for the zero ideal) and the paper's
@@ -253,19 +363,25 @@ def full_table(ideal, want_multigraded=False, cap=DEFAULT_GEN_CAP):
     the lcms of the dominant quadruples.  Together the first two give
     beta3 = 1 + beta2 + beta4 - q for every ideal with a generator.
     """
-    degrees = enumerate_multidegrees(ideal, cap)
-    # keyed by the generators' exponents and 0, the columns cover every lcm
-    rows = _rows_on_columns(degrees.columns, degrees)
+    gens = ideal.gens
+    if len(gens) >= COORDINATE_FROM:
+        check_cap(gens, cap)
+        columns = generator_columns(gens)
+        rows = _coordinate_rows(columns)
+    else:
+        degrees = enumerate_multidegrees(ideal, cap)
+        columns = degrees.columns
+        rows = _rows_on_columns(columns, degrees)
     table = BettiTable.from_rows(rows, want_multigraded)
     # distinct lcms, as many as the beta4 column's sum and each on a row
     # with a beta4, are exactly the multidegrees with beta4 = 1
-    lcms = dominant_quadruples(ideal, degrees.columns)
-    if (table.betti[1] != len(ideal.gens) or table.euler != ideal.is_zero
+    lcms = dominant_quadruples(ideal, columns)
+    if (table.betti[1] != len(gens) or table.euler != ideal.is_zero
             or len(lcms) != table.betti[4]
             or lcms and not all(m in rows and rows[m][4] for m in lcms)):
         raise InternalInconsistency(
             f"key-table totals {table.betti} break beta1 = q, the Euler relation or the "
-            f"beta4 degrees of the dominant quadruples for {ideal.gens}"
+            f"beta4 degrees of the dominant quadruples for {gens}"
         )
     return table
 

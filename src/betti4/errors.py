@@ -13,8 +13,8 @@ class Betti4Error(Exception):
 
 
 class GeneratorCapExceeded(Betti4Error):
-    """More generators than the cap; raised only by enumerate_multidegrees,
-    the lattice walk that the formula route and the oracle both run first."""
+    """More generators than the cap; raised only by multidegrees.check_cap,
+    which the formula route and the oracle both call before they walk."""
 
 
 class InternalInconsistency(Betti4Error):

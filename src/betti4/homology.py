@@ -29,7 +29,8 @@ class FieldSpec(Value):
     __slots__ = ("characteristic",)
 
     def __init__(self, characteristic=0):
-        if characteristic not in SUPPORTED_CHARACTERISTICS:
+        # exactly an int: 2.0 and True compare equal to supported ones
+        if type(characteristic) is not int or characteristic not in SUPPORTED_CHARACTERISTICS:
             raise ValueError(f"unsupported characteristic {characteristic}")
         set_field(self, "characteristic", characteristic)
 
@@ -57,7 +58,8 @@ class SimplicialComplex(Value):
 
     def __init__(self, face_bits):
         bits = face_bits
-        if not 0 <= bits < 1 << 16:
+        # exactly an int (no bool or float), so the faces are bits
+        if type(bits) is not int or not 0 <= bits < 1 << 16:
             raise InvariantViolation(f"face set {bits!r} is not a 16-bit set")
         # moving every face that contains vertex i down to the face
         # without i (bit t to bit t - 2^i) must land on faces again
@@ -188,21 +190,24 @@ def reduced_homology_rank(complex_, dim, field=RATIONALS):
 def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=False):
     """Betti table of S/ideal by summing Koszul homology over the multidegrees.
 
-    The multidegrees are those enumerate_multidegrees returns: the unit
-    and every lcm-lattice point b with x^(b - supp b) outside the ideal.
-    At the other lattice points the complex is the full simplex on
-    supp(b), which is acyclic, and off the lattice the homology vanishes
-    too, so no Betti number is lost.  Each point reads its row straight
-    from the cached homology profile; only the unit and the points with
-    nonzero homology keep a row, and the totals are the column sums.
-    The zero and unit ideals need no branch: their only point is the
-    unit, whose complex gives (1,0,0,0,0) and (1,1,0,0,0).
+    The multidegrees are those enumerate_multidegrees returns, the
+    pairwise walk, at every generator count: the unit and every
+    lcm-lattice point b with x^(b - supp b) outside the ideal.  At the
+    other lattice points the complex is the full simplex on supp(b),
+    which is acyclic, and off the lattice the homology vanishes too, so
+    no Betti number is lost.  From engine.COORDINATE_FROM generators on
+    the formula route walks the lattice another way, so verify checks
+    the two walks against each other there.  Each point reads its row
+    straight from the cached homology profile; only the unit and the
+    points with nonzero homology keep a row, and the totals are the
+    column sums.  The zero and unit ideals need no branch: their only
+    point is the unit, whose complex gives (1,0,0,0,0) and (1,1,0,0,0).
 
     Only the homology depends on the field.  The lattice walk (which
-    checks the cap on every call) and the Koszul face sets are each
-    memoized for the most recent ideal only, one entry apiece, so
-    calling this once per field builds them once; an exception is
-    never cached.
+    checks the cap on every call, as the formula route does) and the
+    Koszul face sets are each memoized for the most recent ideal only,
+    one entry apiece, so calling this once per field builds them once;
+    an exception is never cached.
     """
     char = field.characteristic
     degrees = enumerate_multidegrees(ideal, cap)

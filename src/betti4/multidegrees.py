@@ -1,15 +1,13 @@
-"""The multidegrees both routes visit: the lcm-lattice points that are not
-cones, walked on bitset columns of the generators that the formula route
-reads as well.
+"""The lcm-lattice points that are not cones, walked pairwise on bitset
+columns of the generators that the formula route reads as well.
 
-Two loops list the same points.  The pairwise loop grows lcms one
-generator at a time from the live points, so its work is q times the
-live points, mostly repeats and cones.  The coordinate loop lists the
-points a coordinate at a time over the generators' exponents, so its
-work follows the points it returns, but it builds more per ideal
-before it starts.  enumerate_multidegrees takes the pairwise loop
-below COORDINATE_FROM generators, where it is the faster of the two,
-and the coordinate loop from there on.
+enumerate_multidegrees grows lcms one generator at a time from the live
+points, so its work is q times the live points, mostly repeats and
+cones.  It is the oracle's walk at every size, and the formula route's
+below engine.COORDINATE_FROM generators; from there on the formula
+route walks the lattice a coordinate at a time and keys each point as
+it reaches it (engine._coordinate_rows), so on those ideals verify
+checks one walk against the other.
 """
 
 from functools import lru_cache
@@ -20,12 +18,15 @@ from .monomials import UNIT
 
 DEFAULT_GEN_CAP = 20
 
-# the generator count from which the coordinate loop is the faster one on
-# random ideals with exponents up to 6 (on same-degree staircases it is
-# already from 6); CHANGES.md has the table of both loops' cost by q
-COORDINATE_FROM = 10
-
 _X4 = itemgetter(3)
+
+
+def check_cap(gens, cap):
+    """Refuse more than cap generators.  Both routes call it before they
+    walk, so they refuse the same ideals with the same message; the cap
+    guards the worst case, where every subset has its own lcm."""
+    if len(gens) > cap:
+        raise GeneratorCapExceeded(f"{len(gens)} generators exceed the cap of {cap}")
 
 
 def generator_columns(gens):
@@ -68,19 +69,45 @@ def generator_columns(gens):
     return order, upto, below
 
 
-def _pairwise(gens, columns):
-    """The walk's points, lex-sorted, grown one generator at a time.
+class Walk(tuple):
+    """The walked points, a lex-sorted tuple; enumerate_multidegrees sets
+    .columns to the generator_columns it tested them on."""
+
+
+@lru_cache(maxsize=1)
+def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
+    """The unit and the lcm-lattice points that are not cones, as a Walk.
+
+    An lcm m of generators is a cone when x^(m - supp m) lies in the
+    ideal: some generator h has h <= m - supp m, i.e. h divides m and
+    lies strictly below it in every variable of its support.  The upper
+    Koszul complex at a cone is the full simplex on supp(m), which is
+    acyclic, so no Betti number sits there; the formula route keys such
+    a point to the full family of twin masks, whose row is zero too.
 
     x^(m - supp m) is in the ideal iff m is in the ideal generated by
     the h + supp h, so the cones form an upward closed set: every lcm
     of a subset of a live (non-cone) point's generators is live as
     well.  The loop therefore grows lcms one generator at a time from
     the live points only and still reaches every live point.  Each
-    candidate is tested once, with four lookups in the below columns:
-    below[j][m_j] holds the generators that fit m - supp m in x_j, so m
-    is a cone iff the four sets meet.  A minimal generator is never a
-    cone and joins without a test.
+    candidate is tested once, with four lookups in the below columns
+    built here: below[j][m_j] holds the generators that fit
+    m - supp m in x_j, so m is a cone iff the four sets meet.  A
+    minimal generator is never a cone and joins without a test.  The
+    unit is always returned: in the unit ideal it is the one lattice
+    point and, though a cone, carries the row (1, 1, 0, 0, 0).  The
+    result carries the columns, so the formula route keys the points
+    and finds the dominant quadruples on them without building its own.
+
+    The result for the most recent (ideal, cap) is memoized (one entry),
+    so the four oracle passes of verify share one walk, and below
+    COORDINATE_FROM generators its formula pass shares it too.  The cap
+    is part of the key, so a call with a lower cap checks it again; an
+    exception is never cached.
     """
+    gens = ideal.gens
+    check_cap(gens, cap)
+    columns = generator_columns(gens)
     lt0, lt1, lt2, lt3 = columns[2]
     seen = set()
     live = []
@@ -107,116 +134,6 @@ def _pairwise(gens, columns):
     if gens != (UNIT,):
         live.append(UNIT)
     live.sort()
-    return live
-
-
-def _coordinate(gens, columns):
-    """The walk's points, lex-sorted, listed a coordinate at a time.
-
-    m is an lcm of generators iff the generators dividing it attain each
-    of its coordinates: m_j is the x_j exponent of a witness, a
-    generator that divides m, for each j.  So the loops run m0, m1 and
-    m2 up the keys of the upto columns and keep, for each fixed
-    coordinate, its witnesses among the generators that divide the
-    partial point; a value with no divisor or no witness is skipped.
-    The below sets only grow with a coordinate, and the smallest value
-    of a coordinate not yet fixed is 0, so once the fixed below sets
-    meet those at 0 every larger value is a cone as well and the loop
-    breaks.  m3 must reach the x4
-    exponent of some witness of each fixed coordinate; the bits run in
-    x4 order, so the lowest bit of each witness set carries its least
-    exponent, and the highest of those bits is the floor.  m3 then runs
-    over the x4 exponents of the generators dividing (m0, m1, m2), each
-    such generator a witness of m3, from the floor up, one exponent at a
-    time, until m is a cone.  The points come out lex-sorted, the unit
-    first: in the unit ideal it is a cone, and otherwise no generator
-    divides it, so the loops never reach it.
-    """
-    order, (le0, le1, le2, le3), (lt0, lt1, lt2, lt3) = columns
-    # (v, upto, below, the generators with x_j == v): below[j][0] holds
-    # those at 0, and above 0 they are upto minus below
-    col1 = [(v, up, lt1[v], up ^ lt1[v] if v else up) for v, up in le1.items()]
-    col2 = [(v, up, lt2[v], up ^ lt2[v] if v else up) for v, up in le2.items()]
-    zero3 = lt3[0]
-    zero23 = lt2[0] & zero3
-    zero123 = lt1[0] & zero23
-    points = [UNIT]
-    emit = points.append
-    for m0 in le0:
-        below0 = lt0[m0]
-        if below0 & zero123:
-            break
-        divides0 = le0[m0]
-        witness0 = divides0 ^ below0 if m0 else below0
-        if not witness0:
-            continue
-        for m1, upto1, below1, equal1 in col1:
-            below01 = below0 & below1
-            if below01 & zero23:
-                break
-            divides01 = divides0 & upto1
-            witness01 = witness0 & upto1
-            witness1 = divides01 & equal1
-            if not (witness01 and witness1):
-                continue
-            for m2, upto2, below2, equal2 in col2:
-                below012 = below01 & below2
-                if below012 & zero3:
-                    break
-                ds = divides01 & upto2
-                w0 = witness01 & upto2
-                w1 = witness1 & upto2
-                w2 = ds & equal2
-                if not (w0 and w1 and w2):
-                    continue
-                floor = max(w0 & -w0, w1 & -w1, w2 & -w2)
-                ds &= -floor
-                while ds:
-                    m3 = order[(ds & -ds).bit_length() - 1][3]
-                    ds &= ~le3[m3]
-                    if below012 & lt3[m3]:
-                        break
-                    emit((m0, m1, m2, m3))
-    return points
-
-
-class Walk(tuple):
-    """The walked points, a lex-sorted tuple; enumerate_multidegrees sets
-    .columns to the generator_columns it tested them on."""
-
-
-@lru_cache(maxsize=1)
-def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
-    """The unit and the lcm-lattice points that are not cones, as a Walk.
-
-    An lcm m of generators is a cone when x^(m - supp m) lies in the
-    ideal: some generator h has h <= m - supp m, i.e. h divides m and
-    lies strictly below it in every variable of its support.  The upper
-    Koszul complex at a cone is the full simplex on supp(m), which is
-    acyclic, so no Betti number sits there; the formula route keys such
-    a point to the full family of twin masks, whose row is zero too.
-
-    The points are listed on the generator columns built here: by the
-    pairwise loop below COORDINATE_FROM generators and by the coordinate
-    loop from there on (see the module docstring).  The unit is always
-    returned: in the unit ideal it is the one lattice point and, though
-    a cone, carries the row (1, 1, 0, 0, 0).  The result carries the
-    columns, so the formula route keys the points and finds the
-    dominant quadruples on them without building its own.  The cap
-    guards the worst case, where every subset has its own lcm.  Both
-    routes walk first, so this one cap check makes them refuse the same
-    ideals.
-
-    The result for the most recent (ideal, cap) is memoized (one entry),
-    so `verify`'s formula pass and its four oracle passes share one walk.
-    The cap is part of the key, so a call with a lower cap checks it
-    again; an exception is never cached.
-    """
-    gens = ideal.gens
-    if len(gens) > cap:
-        raise GeneratorCapExceeded(f"{len(gens)} generators exceed the cap of {cap}")
-    columns = generator_columns(gens)
-    loop = _coordinate if len(gens) >= COORDINATE_FROM else _pairwise
-    walk = Walk(loop(gens, columns))
+    walk = Walk(live)
     walk.columns = columns
     return walk

@@ -17,11 +17,13 @@ class SquarefreeIdeal(Value):
     __slots__ = ("gens",)
 
     def __init__(self, gens):
+        for m in gens:
+            # masks are exactly ints (no bool or float), so they sort and meet as bit sets
+            if type(m) is not int or not 0 <= m < 16:
+                raise InvariantViolation(f"bad mask {m!r}")
         if list(gens) != sorted(set(gens)):
             raise InvariantViolation("masks must be ascending and distinct")
         for m in gens:
-            if not 0 <= m < 16:
-                raise InvariantViolation(f"bad mask {m!r}")
             if any(o != m and o & m == o for o in gens):
                 raise InvariantViolation("generating set must be minimal")
         set_field(self, "gens", gens)

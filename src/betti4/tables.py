@@ -35,9 +35,12 @@ class BettiTable(Value):
     __slots__ = ("betti", "multigraded")
 
     def __init__(self, betti, multigraded=None):
-        if len(betti) != 5 or min(betti) < 0:
+        # entries are exactly ints (no bool, float or NaN), so min compares numbers
+        if len(betti) != 5 or any(type(b) is not int for b in betti) or min(betti) < 0:
             raise InvariantViolation(f"bad Betti numbers {betti!r}")
-        if multigraded is not None and _column_sums(multigraded.values()) != betti:
+        if multigraded is not None and (
+                _column_sums(multigraded.values()) != betti
+                or any(type(b) is not int for row in multigraded.values() for b in row)):
             raise InvariantViolation(_BAD_ROWS)
         set_field(self, "betti", betti)
         set_field(self, "multigraded", multigraded)

@@ -10,9 +10,11 @@ there, so the checkout is never touched.  The tests expected to kill
 the mutant run first, then the whole tier-1 suite, each as one child
 process with the mutated copy first on the module path, one at a time
 and each under TIMEOUT.  The matrix, written as JSON, gives each
-mutant's status: "killed" (with the tests that failed in each run),
-"survived", "timed out", or "runner error" when pytest stopped before
-any test could fail (an unknown test id, say).  The file name does not
+mutant's status: "killed" (with the tests that failed in each run, or
+the error that stopped `import betti4.cli` when pytest stopped at
+start-up because the mutated package does not import), "survived",
+"timed out", or "runner error" when pytest stopped before any test
+could fail for another reason (an unknown test id, say).  The file name does not
 match test_*.py, so the suite does not collect it; tests/test_source.py
 checks through stale_snippets() that every snippet still occurs
 exactly once.
@@ -39,8 +41,9 @@ CENSUS = ACCEPTANCE + "test_criterion_14_both_routes_give_the_key_row_at_every_p
 WALK = ("tests/test_multidegrees.py::test_multidegrees_are_exactly_the_subset_lcms",
         "tests/test_multidegrees.py::test_cones_are_left_out")
 CLI_LOADS = "tests/test_source.py::test_entry_point_loads_only_what_it_uses[betti4.cli]"
-LOOPS = ("tests/test_multidegrees.py::test_both_loops_return_the_same_points",
-         "tests/test_multidegrees.py::test_both_loops_return_the_same_points_on_staircases")
+READS = "tests/test_multidegrees.py::test_walk_tests_far_fewer_points_than_the_lattice_holds"
+KEYED = ("tests/test_multidegrees.py::test_keyed_walk_gives_the_rows_of_the_pairwise_walk",
+         "tests/test_multidegrees.py::test_keyed_walk_gives_the_rows_of_the_pairwise_walk_on_staircases")
 
 # name -> (file in src/betti4, exact snippet, replacement, tests expected to kill it)
 MUTANTS = {
@@ -52,8 +55,8 @@ MUTANTS = {
     ),
     "key: c0 & c3 pair term dropped": (
         "engine.py",
-        " | (c0 & c3 and 0x0040)",
-        "",
+        " | (c0 & c3 and 0x0040)\n              |",
+        "\n              |",
         (CENSUS,),
     ),
     "key: below2 and below3 columns swapped": (
@@ -96,7 +99,7 @@ MUTANTS = {
         "        live.append(g)\n"
         "    live = [m for m in live\n"
         "            if m == UNIT or not lt0[m[0]] & lt1[m[1]] & lt2[m[2]] & lt3[m[3]]]\n",
-        ("tests/test_multidegrees.py::test_walk_tests_far_fewer_points_than_the_lattice_holds",),
+        (READS,),
     ),
     "walk: one variable's below term dropped from the cone test": (
         "multidegrees.py",
@@ -111,24 +114,40 @@ MUTANTS = {
         (ACCEPTANCE + "test_criterion_01_worked_example_betti_table",),
     ),
     "coordinate walk: runs on past the first cone in m3": (
-        "multidegrees.py",
-        "                    if below012 & lt3[m3]:\n"
+        "engine.py",
+        "                    if below012 & below3:\n"
         "                        break\n",
-        "                    if below012 & lt3[m3]:\n"
+        "                    if below012 & below3:\n"
         "                        continue\n",
-        ("tests/test_multidegrees.py::test_walk_tests_far_fewer_points_than_the_lattice_holds",),
+        (READS,),
     ),
     "coordinate walk: m3 floor ignored": (
-        "multidegrees.py",
-        "                ds &= -floor\n",
-        "",
-        LOOPS,
+        "engine.py",
+        "ds = d012 & -floor",
+        "ds = d012",
+        # the rows stay right: the points it adds key to zero rows or repeat
+        (READS,),
     ),
     "coordinate walk: m3 steps one generator, not one exponent": (
-        "multidegrees.py",
-        "ds &= ~le3[m3]",
+        "engine.py",
+        "ds &= ~upto3",
         "ds ^= ds & -ds",
-        LOOPS,
+        # the rows stay right: the points it adds key to zero rows or repeat
+        (READS,),
+    ),
+    "leaf key: m3 support bit dropped": (
+        "engine.py",
+        "row = get(up | support | (m3 and 0x80000))",
+        "row = get(up | support)",
+        (CENSUS,) + KEYED,
+    ),
+    "leaf key: two key bits swapped": (
+        "engine.py",
+        "| (c0 & c2 and 0x0400) | (c0 & c3 and 0x0040)\n"
+        "                          | (c1 & c2 and 0x0200)",
+        "| (c0 & c2 and 0x0200) | (c0 & c3 and 0x0040)\n"
+        "                          | (c1 & c2 and 0x0400)",
+        (CENSUS,) + KEYED,
     ),
     "beta4: one lcm dropped": (
         "engine.py",
@@ -181,6 +200,12 @@ MUTANTS = {
         '"squarefree", "twin",',
         ("tests/test_twins.py::test_twin_keeps_attained_exponents_and_minimalizes",
          "tests/test_twins.py::test_squarefree_twin_reads_attained_variables"),
+    ),
+    "atlas: beta2 and beta3 fields swapped in AtlasEntry": (
+        "atlas.py",
+        '"beta2", "beta3"))',
+        '"beta3", "beta2"))',
+        ("tests/test_atlas.py::test_row_goldens",),
     ),
     "atlas: completeness check dropped": (
         "atlas.py",
@@ -333,6 +358,21 @@ def run_tests(src, tests):
     return [], f"pytest exit status {child.returncode}"
 
 
+def import_error(src):
+    """The last line of the error that stops `import betti4.cli` against
+    src, or None if it imports."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", "import betti4.cli"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=TIMEOUT, check=False)
+    return done.stderr.strip().splitlines()[-1] if done.returncode else None
+
+
+# the exit statuses of a pytest that stopped before running a test:
+# interrupted (2), as a collection error does, or a usage error (4), as
+# an error in a conftest's imports does
+_STOPPED = {"pytest exit status 2", "pytest exit status 4"}
+
+
 def run_mutant(name):
     """One row of the kill matrix."""
     file, snippet, replacement, expected = MUTANTS[name]
@@ -345,8 +385,11 @@ def run_mutant(name):
                           encoding="utf-8")
         by_expected, expected_problem = run_tests(src, expected)
         by_suite, suite_problem = run_tests(src, [])
-    problems = {expected_problem, suite_problem} - {None}
-    if by_expected or by_suite:
+        problems = {expected_problem, suite_problem} - {None}
+        # a package that does not import stops pytest at start-up, yet
+        # every test that imports it would fail
+        broken = import_error(src) if problems & _STOPPED else None
+    if by_expected or by_suite or broken:
         status = "killed"
     elif problems:
         status = "timed out" if problems == {"timed out"} else "runner error"
@@ -355,7 +398,7 @@ def run_mutant(name):
     return {"status": status, "file": file, "expected": list(expected),
             "killed_by_expected": by_expected, "killed_by_suite": by_suite,
             "expected_problem": expected_problem, "suite_problem": suite_problem,
-            "seconds": round(time.perf_counter() - started, 1)}
+            "import_error": broken, "seconds": round(time.perf_counter() - started, 1)}
 
 
 def main(argv=None):
@@ -374,8 +417,9 @@ def main(argv=None):
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text, encoding="utf-8")
-    clean = all(row["status"] == "killed" and not row["expected_problem"]
-                and not row["suite_problem"] for row in matrix.values())
+    clean = all(row["status"] == "killed" and (row["import_error"] or not row["expected_problem"]
+                                               and not row["suite_problem"])
+                for row in matrix.values())
     return 0 if clean else 1
 
 

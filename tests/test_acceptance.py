@@ -18,6 +18,7 @@ from betti4.atlas import atlas_entries, canonicalize
 from betti4.engine import (
     KEY_TABLE,
     NONZERO_ROWS,
+    _coordinate_rows,
     _rows_on_columns,
     dominant_quadruples,
     full_table,
@@ -292,7 +293,12 @@ def test_criterion_14_both_routes_give_the_key_row_at_every_point_configuration(
     divide m but puts m's coordinates into the columns.  Non-antichain
     F give non-minimal generator lists, which the columns accept, and
     nested twin masks, which minimal ideals do have.  The key half keys
-    m on the columns; the oracle half reads the Koszul complex's
+    m on the columns.  The walk half runs the keyed coordinate walk,
+    which the formula route takes from COORDINATE_FROM generators on,
+    on the generators of F alone: whether m is a lattice point, whether
+    it is a cone and its key all depend on its divisors only, and the
+    walk lists m with its key's row, or leaves it out where that row
+    is zero.  The oracle half reads the Koszul complex's
     reduced homology through the public rank, once per distinct face
     set, over Q, F2, F3 and F5.  Criterion 12 proves each key row equal
     to the oracle's, so this closes the step from a point to its key.
@@ -315,6 +321,8 @@ def test_criterion_14_both_routes_give_the_key_row_at_every_point_configuration(
             if not y:
                 assert expected == (1, int(bool(family)), 0, 0, 0)
             keyed = _rows_on_columns(generator_columns(gens), [m]).get(m, zero)
+            divisors = gens[:len(family)]
+            walked = _coordinate_rows(generator_columns(divisors)).get(m, zero)
             complex_ = koszul_complex(MonomialIdeal(gens), m)
             ranks = homology.get(complex_.face_bits)
             if ranks is None:
@@ -324,8 +332,8 @@ def test_criterion_14_both_routes_give_the_key_row_at_every_point_configuration(
                 }
             # beta0 is 1 at m = 1 alone; one row for all four fields
             rows = {(int(not y), *h) for h in ranks}
-            if keyed != expected or rows != {expected}:
-                wrong.append((y, family, expected, keyed, rows))
+            if keyed != expected or walked != expected or rows != {expected}:
+                wrong.append((y, family, expected, keyed, walked, rows))
             configurations += 1
     assert configurations == 66674
     assert not wrong, f"{len(wrong)} configurations disagree, first {wrong[:3]}"

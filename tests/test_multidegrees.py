@@ -16,18 +16,12 @@ from hypothesis import example, given
 from reference import k_polynomial, lcm_all
 
 from betti4 import engine, multidegrees
-from betti4.cli import format_ideal, main
-from betti4.engine import full_table
+from betti4.cli import format_ideal, format_monomial, main
+from betti4.engine import COORDINATE_FROM, _coordinate_rows, _rows_on_columns, full_table
 from betti4.errors import GeneratorCapExceeded
 from betti4.homology import ALL_FIELDS, oracle_betti
 from betti4.monomials import UNIT, MonomialIdeal
-from betti4.multidegrees import (
-    COORDINATE_FROM,
-    _coordinate,
-    _pairwise,
-    enumerate_multidegrees,
-    generator_columns,
-)
+from betti4.multidegrees import enumerate_multidegrees, generator_columns
 
 
 def test_known_multidegree_set():
@@ -157,33 +151,37 @@ def _counted_columns(gens):
 
 def test_walk_tests_far_fewer_points_than_the_lattice_holds(monkeypatch):
     # the lcm lattice of this staircase has 62,645 points (too slow to
-    # rebuild here), most of them cones.  The pairwise loop grows lcms
+    # rebuild here), most of them cones.  The pairwise walk grows lcms
     # from live points only, so it tests a fraction of them, each with
-    # one lookup in each variable's below column.  The coordinate loop,
-    # which the walk takes at 100 generators, reads each column entry
-    # once up front and then two entries per m3 it tries, stopping at
-    # the first cone: under 4 reads per point it returns here, where
-    # running on past the cones would take 14
+    # one lookup in each variable's below column.  The keyed coordinate
+    # walk, which the formula route takes at 100 generators, reads each
+    # column entry once up front, eight for the unit's key and then two
+    # entries per m3 it tries, stopping at the first cone: under 4 reads
+    # per point it returns here, where running on past the cones would
+    # take 14
     ideal = staircase(100, 13)
-    monkeypatch.setattr(CountedColumn, "reads", 0)
-    walked = _pairwise(ideal.gens, _counted_columns(ideal.gens))
-    assert CountedColumn.reads % 4 == 0
-    tests = CountedColumn.reads // 4
-    assert len(walked) <= tests < 62_645 // 2
     monkeypatch.setattr(multidegrees, "generator_columns", _counted_columns)
     monkeypatch.setattr(CountedColumn, "reads", 0)
     enumerate_multidegrees.cache_clear()
     try:
-        assert enumerate_multidegrees(ideal, 100) == tuple(walked)
+        walked = enumerate_multidegrees(ideal, 100)
     finally:
         enumerate_multidegrees.cache_clear()
+    assert CountedColumn.reads % 4 == 0
+    tests = CountedColumn.reads // 4
+    assert len(walked) <= tests < 62_645 // 2
+    monkeypatch.setattr(CountedColumn, "reads", 0)
+    rows = _coordinate_rows(_counted_columns(ideal.gens))
     assert len(walked) <= CountedColumn.reads < min(4 * len(walked), 62_645 // 2)
+    assert rows == _rows_on_columns(generator_columns(ideal.gens), walked)
 
 
 def test_columns_are_built_once_per_ideal(monkeypatch, capsys):
-    # the walk builds the generator columns and hands them on, so a cold
-    # formula table, and verify's formula pass with its four oracle
-    # passes, each build them once
+    # a cold formula table builds the generator columns once.  Below
+    # COORDINATE_FROM generators the walk hands them on, so verify's
+    # formula pass and its four oracle passes build them once as well;
+    # from there on each route walks the lattice its own way, on columns
+    # of its own, so verify builds them once per route
     calls = []
     build = multidegrees.generator_columns
 
@@ -193,16 +191,43 @@ def test_columns_are_built_once_per_ideal(monkeypatch, capsys):
 
     for module in (multidegrees, engine):
         monkeypatch.setattr(module, "generator_columns", counted)
-    ideal = staircase(24, 5)
-    enumerate_multidegrees.cache_clear()
-    table = full_table(ideal, cap=40)
-    assert calls == [ideal.gens]
-    calls.clear()
-    enumerate_multidegrees.cache_clear()
-    assert main(["verify", "--max-gens", "40", format_ideal(ideal)]) == 0
-    assert calls == [ideal.gens]
+    for q, builds in ((COORDINATE_FROM - 1, 1), (24, 2)):
+        ideal = staircase(q, 5)
+        calls.clear()
+        enumerate_multidegrees.cache_clear()
+        table = full_table(ideal, cap=40)
+        assert calls == [ideal.gens]
+        calls.clear()
+        enumerate_multidegrees.cache_clear()
+        assert main(["verify", "--max-gens", "40", format_ideal(ideal)]) == 0
+        assert calls == [ideal.gens] * builds
+        out = capsys.readouterr().out
+        assert "char0=ok char2=ok char3=ok char5=ok" in out and f"betti={list(table.betti)}" in out
+
+
+def test_verify_sees_a_point_the_formula_walk_drops(monkeypatch, capsys):
+    # from COORDINATE_FROM generators on, the formula route and the
+    # oracle walk the lattice two ways, so a point the formula walk
+    # loses shows as a mismatch.  The point dropped here carries the row
+    # (0, 0, 1, 1, 0), so the formula route's own checks (beta1 = q, the
+    # Euler relation, the beta4 degrees) still pass; this staircase has
+    # one such point, at x1^3 x2^2 x3^3 x4^2
+    ideal = staircase(24, 13)
+    walk = engine._coordinate_rows
+    dropped = []
+
+    def dropping(columns):
+        rows = walk(columns)
+        m = next(m for m, row in rows.items() if row[0] == row[1] == row[4] == 0 and row[2] == row[3])
+        dropped.append((m, rows.pop(m)))
+        return rows
+
+    monkeypatch.setattr(engine, "_coordinate_rows", dropping)
+    assert main(["verify", "--max-gens", "40", format_ideal(ideal)]) == 1
     out = capsys.readouterr().out
-    assert "char0=ok char2=ok char3=ok char5=ok" in out and f"betti={list(table.betti)}" in out
+    (m, row), = dropped
+    assert "char0=FAIL char2=FAIL char3=FAIL char5=FAIL" in out
+    assert f"multidegree: {format_monomial(m)}\n    expected (oracle): {list(row)}\n" in out
 
 
 @given(ideals())
@@ -220,28 +245,42 @@ def _random_ideals():
 @given(model_ideals() | _random_ideals())
 @example(MonomialIdeal(()))
 @example(MonomialIdeal((UNIT,)))
-def test_both_loops_return_the_same_points(ideal):
-    # each loop runs on every ideal, whichever the walk would pick
-    columns = generator_columns(ideal.gens)
-    expected = _pairwise(ideal.gens, columns)
-    assert _coordinate(ideal.gens, columns) == expected
-    assert enumerate_multidegrees(ideal, 40) == tuple(expected)
+def test_keyed_walk_gives_the_rows_of_the_pairwise_walk(ideal):
+    # each walk runs on every ideal, whichever the formula route would pick
+    walked = enumerate_multidegrees(ideal, 40)
+    expected = _rows_on_columns(walked.columns, walked)
+    rows = _coordinate_rows(generator_columns(ideal.gens))
+    assert rows == expected and list(rows) == list(expected)
+    assert full_table(ideal, want_multigraded=True, cap=40).multigraded == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_both_loops_return_the_same_points_on_staircases(seed):
+def test_keyed_walk_gives_the_rows_of_the_pairwise_walk_on_staircases(seed):
     for q in range(1, 80):
         ideal = staircase(q, seed)
-        columns = generator_columns(ideal.gens)
-        assert _coordinate(ideal.gens, columns) == _pairwise(ideal.gens, columns), q
+        walked = enumerate_multidegrees(ideal, 80)
+        assert _coordinate_rows(walked.columns) == _rows_on_columns(walked.columns, walked), q
 
 
 def test_the_walk_picks_its_loop_by_generator_count(monkeypatch):
+    # full_table keys the pairwise walk's points below COORDINATE_FROM
+    # generators and walks a coordinate at a time from there on; both
+    # refuse an ideal over the cap, with the pairwise walk's message
     picked = []
-    for loop in (_pairwise, _coordinate):
-        monkeypatch.setattr(multidegrees, loop.__name__,
-                            lambda gens, columns, loop=loop: picked.append(loop) or loop(gens, columns))
+    for walk in (enumerate_multidegrees, _coordinate_rows):
+        monkeypatch.setattr(engine, walk.__name__,
+                            lambda *args, walk=walk: picked.append(walk) or walk(*args))
     for q in (1, COORDINATE_FROM - 1, COORDINATE_FROM, 28):
         enumerate_multidegrees.cache_clear()
-        enumerate_multidegrees(staircase(q, 3), 40)
-    assert picked == [_pairwise, _pairwise, _coordinate, _coordinate]
+        full_table(staircase(q, 3), cap=40)
+    walks = [enumerate_multidegrees, enumerate_multidegrees, _coordinate_rows, _coordinate_rows]
+    assert picked == walks
+    for q in (COORDINATE_FROM - 1, 28):
+        ideal = staircase(q, 3)
+        message = f"{q} generators exceed the cap of {q - 1}"
+        with pytest.raises(GeneratorCapExceeded, match=message):
+            multidegrees.enumerate_multidegrees(ideal, q - 1)
+        with pytest.raises(GeneratorCapExceeded, match=message):
+            full_table(ideal, cap=q - 1)
+    # below COORDINATE_FROM the refusal comes from the pairwise walk itself
+    assert picked == [*walks, enumerate_multidegrees]

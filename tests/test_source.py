@@ -135,7 +135,7 @@ def _identifiers(tree):
 
 
 def test_each_derived_fact_has_one_owner():
-    # the generator cap is checked by the lattice walk alone, projective
+    # the generator cap is checked by multidegrees.check_cap alone, projective
     # dimension is read off the totals in tables.py alone, the atlas
     # keeps one index (the brute-force relabeling search lives in the
     # tests), every Betti row comes from the key table through one pass

@@ -141,3 +141,20 @@ def test_validated_constructors_keep_their_errors():
         MonomialIdeal(([0, 1, 0, 0],))
     with pytest.raises(ValueError, match="unsupported characteristic 7"):
         FieldSpec(7)
+    # the other checked types take exactly ints too, checked before any
+    # comparison or bit operation reads them
+    nan = float("nan")
+    for bad in ((1, nan, 0, 0, 0), (1.0, 1, 0, 0, 0), (1, True, 0, 0, 0)):
+        with pytest.raises(InvariantViolation, match=r"bad Betti numbers \("):
+            BettiTable(bad)
+    with pytest.raises(InvariantViolation, match="multigraded rows"):
+        BettiTable((1, 0, 0, 0, 0), {(0, 0, 0, 0): (1.0, 0, 0, 0, 0)})
+    for bad in ((True,), (1.0, 2), (1, 2.0)):
+        with pytest.raises(InvariantViolation, match="bad mask"):
+            SquarefreeIdeal(bad)
+    for bad in (2.0, 3.0):
+        with pytest.raises(ValueError, match="unsupported characteristic"):
+            FieldSpec(bad)
+    for bad in (1.0, True):
+        with pytest.raises(InvariantViolation, match="is not a 16-bit set"):
+            SimplicialComplex(bad)
