@@ -4,8 +4,10 @@ Subcommands: ``betti`` (formula pipeline), ``verify`` (formulas against
 the homology oracle over every supported field), ``atlas`` (dump or
 re-check the 66-class table), ``experiment`` (random-ideal statistics).
 JSON is the machine interface, aligned text the human default; exit
-codes are 0 for success, 1 for a verification mismatch, 2 for bad
-input.
+codes are 0 for success, 1 for a verification mismatch, and 2 for any
+input that ends in a typed Betti4Error: text that does not parse or
+cannot be read, an ideal over a cap, or a route failing its own
+cross-check.
 """
 
 import argparse
@@ -20,7 +22,7 @@ from .engine import full_table, pd_two_condition
 from .errors import Betti4Error, InputUnreadable, ParseError
 from .monomials import NUM_VARS, MonomialIdeal
 from .multidegrees import DEFAULT_GEN_CAP
-from .parsing import DEFAULT_EXP_CAP, parse_ideal
+from .parsing import DEFAULT_EXP_CAP, format_ideal, format_monomial, parse_ideal
 from .squarefree import mask_monomial, mask_string
 
 # nothing here calls the twin reduction, but bench/run.py traces
@@ -29,28 +31,10 @@ from .squarefree import mask_monomial, mask_string
 # that span
 from . import twins  # noqa: F401
 
-# the oracle, csv and random are imported by the subcommands that use
+# the oracle and random are imported by the subcommands that use
 # them, so ``betti`` starts without them
 
 SCHEMA_VERSION = 1
-
-
-def format_monomial(m):
-    if not any(m):
-        return "1"
-    parts = []
-    for i, e in enumerate(m):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts)
-
-
-def format_ideal(ideal):
-    """Generators comma-separated; the zero ideal prints as the empty string,
-    which parse_ideal reads back as the zero ideal."""
-    return ", ".join(format_monomial(g) for g in ideal.gens)
 
 
 def _read_inputs(args):
@@ -141,28 +125,23 @@ def cmd_verify(args):
         try:
             ideal = parse_ideal(line, args.max_exp)
             formula = full_table(ideal, want_multigraded=True, cap=args.max_gens)
-            oracles = [
-                (field, oracle_betti(ideal, field, args.max_gens, want_multigraded=True))
-                for field in ALL_FIELDS
-            ]
+            oracles = [oracle_betti(ideal, field, args.max_gens, want_multigraded=True)
+                       for field in ALL_FIELDS]
         except Betti4Error as exc:
             bad_input = True
             print(f"error (line {number}): {exc}", file=sys.stderr)
             continue
-        verdicts = []
-        for field, oracle in oracles:
-            agree = formula.betti == oracle.betti and formula.multigraded == oracle.multigraded
-            verdicts.append((field.characteristic, agree, oracle))
-        tag = " ".join(f"char{c}={'ok' if a else 'FAIL'}" for c, a, _ in verdicts)
+        # equal rows have equal column sums, so the rows decide the totals too
+        agree = [oracle.multigraded == formula.multigraded for oracle in oracles]
+        tag = " ".join(f"char{field.characteristic}={'ok' if ok else 'FAIL'}"
+                       for field, ok in zip(ALL_FIELDS, agree))
         print(f"line {number}: {tag}  betti={list(formula.betti)}  [{format_ideal(ideal)}]")
         zero = (0,) * 5
-        for characteristic, agree, oracle in verdicts:
-            if agree:
+        for field, oracle, ok in zip(ALL_FIELDS, oracles, agree):
+            if ok:
                 continue
             failed = True
-            # both maps sum to their totals, so differing tables differ at
-            # some multidegree
-            print(f"  mismatch at characteristic {characteristic}")
+            print(f"  mismatch at characteristic {field.characteristic}")
             for m in sorted(set(formula.multigraded) | set(oracle.multigraded)):
                 want = oracle.multigraded.get(m, zero)
                 got = formula.multigraded.get(m, zero)
@@ -219,15 +198,13 @@ def sample_ideal(rng, max_gens, max_exp):
 
 
 def cmd_experiment(args):
-    import csv
     import random
 
     rng = random.Random(args.seed)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["seed_index", "num_gens", "beta2", "beta3", "beta4", "pd", "beta3_gt_beta2"])
+    print("seed_index,num_gens,beta2,beta3,beta4,pd,beta3_gt_beta2")
     wins = 0
     wins_pd4 = 0
-    # each row is written as soon as its table is known
+    # each row is printed as soon as its table is known
     for index in range(args.samples):
         ideal = sample_ideal(rng, args.max_gens, args.max_exp)
         table = full_table(ideal, cap=args.max_gens)
@@ -235,8 +212,7 @@ def cmd_experiment(args):
         greater = b[3] > b[2]
         wins += greater
         wins_pd4 += greater and table.pd == 4
-        writer.writerow([index, len(ideal.gens), b[2], b[3], b[4], table.pd,
-                         str(greater).lower()])
+        print(index, len(ideal.gens), b[2], b[3], b[4], table.pd, str(greater).lower(), sep=",")
     print(f"# samples={args.samples} seed={args.seed} "
           f"max_gens={args.max_gens} max_exp={args.max_exp}")
     print(f"# beta3_gt_beta2={wins} of which pd4={wins_pd4}")

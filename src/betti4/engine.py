@@ -7,12 +7,10 @@ import, beta2 and beta3 from the shape weights, each checked against
 its atlas class.  full_table keys each point of the lattice walk (the
 unit and the lcm-lattice points that are not cones) with a fixed number
 of bit operations on the bitset generator columns the walk runs on,
-looks its row up and sums the rows.  Below COORDINATE_FROM generators
-it keys the points of the pairwise walk, which the oracle shares; from
-there on it walks the lattice a coordinate at a time and keys each
-point as it reaches it.  The distinct lcms of the dominant generator
-quadruples, found on the same columns, are the paper's independent
-beta4 route and the runtime cross-check of the table's beta4 column.
+looks its row up and sums the rows.  The distinct lcms of the dominant
+generator quadruples, found on the same columns, are the paper's
+independent beta4 route and the runtime cross-check of the table's
+beta4 column.
 """
 
 from .atlas import ENTRIES, LABELED_CLASSES

@@ -190,14 +190,11 @@ def reduced_homology_rank(complex_, dim, field=RATIONALS):
 def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=False):
     """Betti table of S/ideal by summing Koszul homology over the multidegrees.
 
-    The multidegrees are those enumerate_multidegrees returns, the
-    pairwise walk, at every generator count: the unit and every
-    lcm-lattice point b with x^(b - supp b) outside the ideal.  At the
-    other lattice points the complex is the full simplex on supp(b),
-    which is acyclic, and off the lattice the homology vanishes too, so
-    no Betti number is lost.  From engine.COORDINATE_FROM generators on
-    the formula route walks the lattice another way, so verify checks
-    the two walks against each other there.  Each point reads its row
+    The multidegrees are those enumerate_multidegrees returns: the unit
+    and every lcm-lattice point b with x^(b - supp b) outside the ideal.
+    At the other lattice points the complex is the full simplex on
+    supp(b), which is acyclic, and off the lattice the homology vanishes
+    too, so no Betti number is lost.  Each point reads its row
     straight from the cached homology profile; only the unit and the
     points with nonzero homology keep a row, and the totals are the
     column sums.  The zero and unit ideals need no branch: their only

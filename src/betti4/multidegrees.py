@@ -3,11 +3,7 @@ columns of the generators that the formula route reads as well.
 
 enumerate_multidegrees grows lcms one generator at a time from the live
 points, so its work is q times the live points, mostly repeats and
-cones.  It is the oracle's walk at every size, and the formula route's
-below engine.COORDINATE_FROM generators; from there on the formula
-route walks the lattice a coordinate at a time and keys each point as
-it reaches it (engine._coordinate_rows), so on those ideals verify
-checks one walk against the other.
+cones.
 """
 
 from functools import lru_cache
@@ -23,8 +19,10 @@ _X4 = itemgetter(3)
 
 def check_cap(gens, cap):
     """Refuse more than cap generators.  Both routes call it before they
-    walk, so they refuse the same ideals with the same message; the cap
-    guards the worst case, where every subset has its own lcm."""
+    walk, so they refuse the same ideals with the same message.  The cap
+    guards the worst case: in four variables an lcm of generators is the
+    lcm of at most four of them, one attaining each coordinate, so a
+    walk returns at most C(q, 0) + ... + C(q, 4) points, about q^4 / 24."""
     if len(gens) > cap:
         raise GeneratorCapExceeded(f"{len(gens)} generators exceed the cap of {cap}")
 
@@ -96,13 +94,12 @@ def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
     minimal generator is never a cone and joins without a test.  The
     unit is always returned: in the unit ideal it is the one lattice
     point and, though a cone, carries the row (1, 1, 0, 0, 0).  The
-    result carries the columns, so the formula route keys the points
-    and finds the dominant quadruples on them without building its own.
+    result carries the columns it tested the points on, so a caller can
+    read the generators at the points without building its own.
 
     The result for the most recent (ideal, cap) is memoized (one entry),
-    so the four oracle passes of verify share one walk, and below
-    COORDINATE_FROM generators its formula pass shares it too.  The cap
-    is part of the key, so a call with a lower cap checks it again; an
+    so the four oracle passes of verify share one walk.  The cap is part
+    of the key, so a call with a lower cap checks it again; an
     exception is never cached.
     """
     gens = ideal.gens

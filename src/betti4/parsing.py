@@ -1,10 +1,13 @@
-"""Text format for monomial ideal input.
+"""Text format for monomial ideals, read by parse_ideal and written by
+format_ideal.
 
 Generators are comma-separated products of factors like ``x1^3`` or
 ``x4``, with ``*`` between factors and ``#`` starting a comment that
 runs to the end of the line.  ``a``..``d`` alias ``x1``..``x4`` and a
 bare ``1`` denotes the unit monomial.  Repeated variables multiply, so
-``x1*x1`` means ``x1^2``.
+``x1*x1`` means ``x1^2``.  The writer uses ``x1``..``x4`` only, writes
+no exponent 1 and no factor of exponent 0, and so reads back as the
+ideal it was given.
 """
 
 import re
@@ -14,7 +17,8 @@ from .monomials import NUM_VARS, MonomialIdeal
 
 DEFAULT_EXP_CAP = 64
 
-_INDEX = {"x1": 0, "x2": 1, "x3": 2, "x4": 3, "a": 0, "b": 1, "c": 2, "d": 3}
+_NAMES = ("x1", "x2", "x3", "x4")
+_INDEX = {**{name: j for j, name in enumerate(_NAMES)}, "a": 0, "b": 1, "c": 2, "d": 3}
 
 # One factor and the separator after it.  Only a variable takes an
 # exponent, so after "1^2" the separator is missing at the caret.
@@ -118,3 +122,14 @@ def parse_ideal(text, max_exp=DEFAULT_EXP_CAP):
             return MonomialIdeal(gens)
         exps = [0] * NUM_VARS
         pos = m.end()
+
+
+def format_monomial(m):
+    """The text of one monomial: its factors joined by '*', or "1"."""
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(_NAMES, m) if e]) or "1"
+
+
+def format_ideal(ideal):
+    """The generators comma-separated; the zero ideal is the empty string,
+    which parse_ideal reads back as the zero ideal."""
+    return ", ".join(map(format_monomial, ideal.gens))

@@ -294,14 +294,26 @@ MUTANTS = {
     ),
     "cli: experiment buffers its rows": (
         "cli.py",
-        "        writer.writerow([index, len(ideal.gens), b[2], b[3], b[4], table.pd,\n"
-        "                         str(greater).lower()])\n",
+        "        print(index, len(ideal.gens), b[2], b[3], b[4], table.pd, str(greater).lower(), "
+        "sep=\",\")\n",
         "        buffered = [*(buffered if index else ()),\n"
-        "                    [index, len(ideal.gens), b[2], b[3], b[4], table.pd,\n"
-        "                     str(greater).lower()]]\n"
-        "    if args.samples:\n"
-        "        writer.writerows(buffered)\n",
+        "                    (index, len(ideal.gens), b[2], b[3], b[4], table.pd,\n"
+        "                     str(greater).lower())]\n"
+        "    for row in buffered if args.samples else ():\n"
+        "        print(*row, sep=\",\")\n",
         ("tests/test_cli.py::test_experiment_streams_each_row_before_the_next_table",),
+    ),
+    "cli: verify verdict reads the totals, not the rows": (
+        "cli.py",
+        "agree = [oracle.multigraded == formula.multigraded for oracle in oracles]",
+        "agree = [oracle.betti == formula.betti for oracle in oracles]",
+        ("tests/test_cli.py::test_verify_fails_on_rows_that_differ_under_equal_totals",),
+    ),
+    "text format: exponent 1 written as ^1": (
+        "parsing.py",
+        'name if e == 1 else f"{name}^{e}"',
+        'f"{name}^{e}"',
+        ("tests/test_cli.py::test_format_monomial",),
     ),
     "package: a public name mapped to the wrong module": (
         "__init__.py",

@@ -337,6 +337,36 @@ def test_verify_reports_every_mismatching_multidegree(capsys, monkeypatch):
     assert lines[1:-1] == expected
 
 
+def test_verify_fails_on_rows_that_differ_under_equal_totals(capsys, monkeypatch):
+    from betti4.engine import full_table
+    from betti4.tables import BettiTable
+
+    def moved(ideal, want_multigraded=False, cap=20):
+        # one beta2 moved from its lattice point to (3, 3, 3, 3), off the
+        # lattice, whose exponents are at most 2: every column sum stays
+        table = full_table(ideal, want_multigraded, cap)
+        rows = dict(table.multigraded)
+        rows[(3, 3, 3, 3)] = rows.pop(min(m for m, row in rows.items() if row[2]))
+        return BettiTable(table.betti, rows)
+
+    monkeypatch.setattr("betti4.cli.full_table", moved)
+    code, out, err = run(capsys, "verify", "x1^2*x2^2, x1^2*x2*x3, x2*x3*x4^2, x3^2*x4^2")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == ("line 1: char0=FAIL char2=FAIL char3=FAIL char5=FAIL  betti=[1, 4, 3, 0, 0]"
+                        "  [x3^2*x4^2, x2*x3*x4^2, x1^2*x2*x3, x1^2*x2^2]")
+    block = ["    multidegree: x2*x3^2*x4^2",
+             "    expected (oracle): [0, 0, 1, 0, 0]",
+             "    actual (formula):  [0, 0, 0, 0, 0]",
+             "    multidegree: x1^3*x2^3*x3^3*x4^3",
+             "    expected (oracle): [0, 0, 0, 0, 0]",
+             "    actual (formula):  [0, 0, 1, 0, 0]"]
+    expected = []
+    for characteristic in (0, 2, 3, 5):
+        expected += [f"  mismatch at characteristic {characteristic}", *block]
+    assert lines[1:] == expected
+
+
 @pytest.mark.parametrize("command", ["betti", "verify"])
 @pytest.mark.parametrize("order", ["ideals first", "file first"])
 def test_file_and_positional_ideals_are_rejected_together(capsys, tmp_path, command, order):

@@ -326,8 +326,8 @@ def test_rationals_is_characteristic_zero():
 
 
 def test_cli_import_loads_neither_the_oracle_nor_csv():
-    # the betti path starts without them: verify, atlas --check and
-    # experiment import them when they run
+    # the betti path starts without the oracle, which verify and atlas
+    # --check import when they run, and no subcommand imports csv
     probe = (
         "import sys, betti4.cli\n"
         "print(sorted(m for m in sys.modules if m in ('betti4.homology', 'csv')))"

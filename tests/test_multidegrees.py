@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
@@ -16,12 +17,13 @@ from hypothesis import example, given
 from reference import k_polynomial, lcm_all
 
 from betti4 import engine, multidegrees
-from betti4.cli import format_ideal, format_monomial, main
+from betti4.cli import main
 from betti4.engine import COORDINATE_FROM, _coordinate_rows, _rows_on_columns, full_table
 from betti4.errors import GeneratorCapExceeded
 from betti4.homology import ALL_FIELDS, oracle_betti
 from betti4.monomials import UNIT, MonomialIdeal
 from betti4.multidegrees import enumerate_multidegrees, generator_columns
+from betti4.parsing import format_ideal, format_monomial
 
 
 def test_known_multidegree_set():
@@ -252,6 +254,21 @@ def test_keyed_walk_gives_the_rows_of_the_pairwise_walk(ideal):
     rows = _coordinate_rows(generator_columns(ideal.gens))
     assert rows == expected and list(rows) == list(expected)
     assert full_table(ideal, want_multigraded=True, cap=40).multigraded == expected
+
+
+@given(model_or_staircase(40) | _random_ideals())
+def test_every_point_is_the_lcm_of_at_most_four_generators(ideal):
+    # each coordinate of a walked point other than 1 is attained by a
+    # generator dividing it, so the point is the lcm of four such
+    # witnesses; the cap therefore bounds a walk by the subsets of at
+    # most four generators, not by all 2^q of them
+    q = len(ideal.gens)
+    walked = enumerate_multidegrees(ideal, 40)
+    assert len(walked) <= sum(comb(q, k) for k in range(5))
+    for m in walked[1:]:
+        divisors = [g for g in ideal.gens if all(a <= b for a, b in zip(g, m))]
+        witnesses = [next((g for g in divisors if g[j] == m[j]), None) for j in range(4)]
+        assert None not in witnesses and lcm_all(witnesses) == m
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betti4.cli import format_ideal
 from betti4.errors import ExponentCapExceeded, ParseError, VariableOutOfRange
 from betti4.monomials import NUM_VARS, MonomialIdeal
-from betti4.parsing import DEFAULT_EXP_CAP, parse_ideal
+from betti4.parsing import DEFAULT_EXP_CAP, format_ideal, parse_ideal
 
 _DIGITS = frozenset("0123456789")
 _ALIASES = {"a": 1, "b": 2, "c": 3, "d": 4}
