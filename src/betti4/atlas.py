@@ -111,24 +111,13 @@ def _load():
         if cid in entries:
             raise InternalInconsistency(f"entry {cid} is listed twice")
         entries[cid] = entry
+        # a relabeling of an earlier entry keeps that entry's (smaller)
+        # id in the index, so the two rows must agree
         known = labeled.get(gens)
-        if known is not None:
-            # a relabeling of an earlier entry, whose orbit is indexed
-            # already; the rows must agree for smallest-id lookup to be sound
-            other = entries[known.class_id]
-            if (other.beta2, other.beta3) != (b2, b3):
-                raise InternalInconsistency(f"entries {known.class_id} and {cid} disagree")
-            continue
-        images = [tuple(sorted([relabel[g] for g in gens])) for relabel in _RELABEL]
-        least = min(images)
-        witnesses = [q for q, image in zip(_PERMS, images) if image == least]
-        for p, image in zip(_PERMS, images):
-            if image not in labeled:
-                # relabeling image by r gives least iff r = p^-1 . q for a
-                # witness q, where (p^-1 . q)[i] = p.index(q[i]); the least
-                # tuple is the first such r in permutations() order
-                witness = min(tuple(map(p.index, q)) for q in witnesses)
-                labeled[image] = CanonicalForm(cid, witness, least)
+        if known is not None and (entries[known].beta2, entries[known].beta3) != (b2, b3):
+            raise InternalInconsistency(f"entries {known} and {cid} disagree")
+        for relabel in _RELABEL:
+            labeled.setdefault(tuple(sorted([relabel[g] for g in gens])), cid)
     if len(entries) != 66:
         raise InternalInconsistency(f"{len(entries)} atlas entries, expected 66")
     if len({e.gens for e in entries.values()}) != 66:
@@ -141,9 +130,7 @@ def _load():
 
 
 # LABELED_CLASSES maps every nonzero squarefree ideal, as a sorted mask
-# tuple, to its CanonicalForm: the smallest class id of its orbit, the
-# first permutation (in permutations() order) that carries the tuple to
-# the orbit's lexicographically least form, and that form.
+# tuple, to the smallest class id of its orbit.
 ENTRIES, LABELED_CLASSES = _load()
 
 
@@ -153,16 +140,20 @@ def atlas_entries():
 
 
 def canonicalize(ideal):
-    """Match a squarefree ideal to its class: one read of LABELED_CLASSES,
-    which the loader checked holds every nonzero squarefree ideal.
+    """Match a squarefree ideal to its class.
 
-    The result names the smallest class id of the orbit, the first
-    relabeling that carries the generators to the orbit's least sorted
-    mask tuple, and that tuple.
+    The class id, the smallest of the orbit, is one read of
+    LABELED_CLASSES, which the loader checked holds every nonzero
+    squarefree ideal.  The relabeling is found here, over the 24
+    images of the generators: the first permutation (in permutations()
+    order) that reaches the orbit's least sorted mask tuple, which the
+    result also carries.
     """
     if ideal.is_zero:
         raise ValueError("the zero ideal has no atlas class")
-    return LABELED_CLASSES[ideal.gens]
+    images = [tuple(sorted([relabel[g] for g in ideal.gens])) for relabel in _RELABEL]
+    least = min(images)
+    return CanonicalForm(LABELED_CLASSES[ideal.gens], _PERMS[images.index(least)], least)
 
 
 def lookup_multigraded(ideal, y_m):
@@ -173,7 +164,7 @@ def lookup_multigraded(ideal, y_m):
     """
     if ideal.is_zero or ideal.support != y_m:
         return (0, 0)
-    entry = ENTRIES[canonicalize(ideal).class_id]
+    entry = ENTRIES[LABELED_CLASSES[ideal.gens]]
     return (entry.beta2, entry.beta3)
 
 

@@ -158,7 +158,7 @@ def _build_key_table(classes, entries):
     """Map each upward-closed family of masks to (support, row).
 
     classes maps labeled squarefree antichains (sorted mask tuples) to
-    canonical forms and entries maps class ids to atlas entries.  row is
+    class ids and entries maps class ids to atlas entries.  row is
     the Betti row beta0..beta4 at a multidegree m whose support is the
     family's support.  beta2 and beta3 are the shape weights and must
     equal the row of the atlas class; beta0 = 1 iff the support is empty
@@ -167,13 +167,13 @@ def _build_key_table(classes, entries):
     generator divides m = 1) has the row of the zero ideal.
     """
     table = {0: (0, (1, 0, 0, 0, 0))}
-    for gens, form in classes.items():
+    for gens, cid in classes.items():
         sq = SquarefreeIdeal(gens)
         weights = _shape_weights(sq)
-        entry = entries[form.class_id]
+        entry = entries[cid]
         if weights != (entry.beta2, entry.beta3):
             raise InternalInconsistency(
-                f"shape weights give {weights} but atlas class {form.class_id} gives "
+                f"shape weights give {weights} but atlas class {cid} gives "
                 f"({entry.beta2}, {entry.beta3}) for {[mask_string(g) for g in gens]}"
             )
         up = upward_closure(gens)

@@ -3,14 +3,13 @@
 from itertools import permutations
 
 import pytest
+from conftest import permutations_of_4
 from hypothesis import given, strategies as st
 
 from betti4 import atlas
 from betti4.atlas import LABELED_CLASSES, atlas_entries, atlas_records, canonicalize, lookup_multigraded
 from betti4.errors import InternalInconsistency
 from betti4.squarefree import SquarefreeIdeal, parse_mask, permute_mask
-
-perms = st.permutations(range(4)).map(tuple)
 
 
 def sq(*bit_strings):
@@ -33,19 +32,41 @@ def least_form(gens):
     return best, best_perm
 
 
+def smallest_ids():
+    """Reference: each orbit's least form mapped to the smallest id listed in it."""
+    class_of = {}
+    for e in atlas_entries():
+        class_of.setdefault(least_form(e.gens)[0], e.id)
+    return class_of
+
+
 def test_canonicalize_matches_the_brute_force_search():
     # every antichain under every relabeling: the class is the smallest
     # id whose entry shares the least form, and the reported permutation
     # is the first one that reaches it
-    class_of = {}
-    for e in atlas_entries():
-        class_of.setdefault(least_form(e.gens)[0], e.id)
+    class_of = smallest_ids()
     assert len(LABELED_CLASSES) == 167
     for gens in LABELED_CLASSES:
         for perm in permutations(range(4)):
             ideal = SquarefreeIdeal(tuple(sorted(permute_mask(g, perm) for g in gens)))
             form, witness = least_form(ideal.gens)
             assert canonicalize(ideal) == atlas.CanonicalForm(class_of[form], witness, form)
+
+
+def test_index_maps_every_squarefree_ideal_to_its_class_id():
+    # the index holds plain class ids, each the smallest id of an entry
+    # in the ideal's orbit, and the lookup reads that entry's row only
+    # at the ideal's own support
+    smallest = smallest_ids()
+    assert len(LABELED_CLASSES) == 167
+    for gens, cid in LABELED_CLASSES.items():
+        ideal = SquarefreeIdeal(gens)
+        assert isinstance(cid, int)
+        assert cid == smallest[least_form(gens)[0]] == canonicalize(ideal).class_id
+        mate = entry(cid)
+        assert lookup_multigraded(ideal, ideal.support) == (mate.beta2, mate.beta3)
+        if ideal.support != 0b1111:
+            assert lookup_multigraded(ideal, 0b1111) == (0, 0)
 
 
 def test_loader_rejects_a_corrupted_table(monkeypatch):
@@ -111,7 +132,7 @@ def test_canonicalize_rejects_zero_ideal():
         canonicalize(SquarefreeIdeal(()))
 
 
-@given(st.sampled_from(atlas_entries()), perms)
+@given(st.sampled_from(atlas_entries()), permutations_of_4())
 def test_canonicalize_is_permutation_invariant(e, perm):
     ideal = SquarefreeIdeal(e.gens)
     relabeled = SquarefreeIdeal(tuple(sorted(permute_mask(g, perm) for g in e.gens)))

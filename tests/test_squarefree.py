@@ -1,4 +1,5 @@
 import pytest
+from conftest import permutations_of_4
 from hypothesis import given, strategies as st
 from reference import permute_monomial
 
@@ -15,7 +16,6 @@ from betti4.squarefree import (
 )
 
 masks = st.integers(min_value=0, max_value=15)
-perms = st.permutations(range(4)).map(tuple)
 
 
 def test_mask_string_leftmost_is_y1():
@@ -40,7 +40,7 @@ def test_mask_monomial_roundtrip(mask):
     assert support_mask(mask_monomial(mask)) == mask
 
 
-@given(masks, perms)
+@given(masks, permutations_of_4())
 def test_permute_mask_matches_monomial_permutation(mask, perm):
     assert permute_mask(mask, perm) == support_mask(
         permute_monomial(mask_monomial(mask), perm)
