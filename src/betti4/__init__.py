@@ -15,10 +15,8 @@ __version__ = "0.1.0"
 # formula route never imports the oracle.
 _LAZY = {
     "AtlasEntry": "atlas",
-    "CanonicalForm": "atlas",
     "atlas_entries": "atlas",
     "atlas_records": "atlas",
-    "canonicalize": "atlas",
     "lookup_multigraded": "atlas",
     "dominant_quadruples": "engine",
     "full_table": "engine",

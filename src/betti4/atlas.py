@@ -83,19 +83,15 @@ _TABLE = (
     (66, ("1111",), "1111", 0, 0),
 )
 
-_PERMS = tuple(permutations(range(4)))
-
-# _RELABEL[k][mask] is mask relabeled by the k-th permutation in _PERMS
-_RELABEL = tuple(tuple(permute_mask(mask, perm) for mask in range(16)) for perm in _PERMS)
+# _RELABEL[k][mask] is mask relabeled by the k-th of the 24 permutations
+_RELABEL = tuple(tuple(permute_mask(mask, perm) for mask in range(16))
+                 for perm in permutations(range(4)))
 
 
 AtlasEntry = namedtuple("AtlasEntry", ("id", "gens", "y_m", "beta2", "beta3"))
 AtlasEntry.__doc__ = """One of the 66 classes with its tabulated multigraded Betti row.
 
 gens holds the sorted masks of the generators."""
-
-CanonicalForm = namedtuple("CanonicalForm", ("class_id", "permutation", "canonical_gens"))
-CanonicalForm.__doc__ = "Result of canonicalization: class id, witnessing relabeling, least form."
 
 
 def _load():
@@ -137,23 +133,6 @@ ENTRIES, LABELED_CLASSES = _load()
 def atlas_entries():
     """All 66 entries in id order."""
     return tuple(ENTRIES[i] for i in range(1, 67))
-
-
-def canonicalize(ideal):
-    """Match a squarefree ideal to its class.
-
-    The class id, the smallest of the orbit, is one read of
-    LABELED_CLASSES, which the loader checked holds every nonzero
-    squarefree ideal.  The relabeling is found here, over the 24
-    images of the generators: the first permutation (in permutations()
-    order) that reaches the orbit's least sorted mask tuple, which the
-    result also carries.
-    """
-    if ideal.is_zero:
-        raise ValueError("the zero ideal has no atlas class")
-    images = [tuple(sorted([relabel[g] for g in ideal.gens])) for relabel in _RELABEL]
-    least = min(images)
-    return CanonicalForm(LABELED_CLASSES[ideal.gens], _PERMS[images.index(least)], least)
 
 
 def lookup_multigraded(ideal, y_m):

@@ -3,9 +3,9 @@
 A value type is one whose constructor checks an invariant and raises on
 bad input: MonomialIdeal, SquarefreeIdeal, FieldSpec, SimplicialComplex
 and BettiTable.  Equality between values is type-strict.  A record
-whose fields need no check (Shape, AtlasEntry, CanonicalForm,
-TwinBundle) is a collections.namedtuple instead, and equals the plain
-tuple of its fields.
+whose fields need no check (Shape, AtlasEntry, TwinBundle) is a
+collections.namedtuple instead, and equals the plain tuple of its
+fields.
 
 The value types are plain __slots__ classes rather than dataclasses:
 importing dataclasses pulls in inspect, ast and dis, and decorating a

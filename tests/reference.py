@@ -7,9 +7,11 @@ engine.dominant_quadruples.  The versions here follow the definitions
 word for word, on exponent tuples, so the tests can check the fast ones
 against them.  multigraded_oracle reads its ranks through the public
 reduced_homology_rank, not the oracle's own profile path, and
-k_polynomial computes the numerator of the Hilbert series with no
-lattice walk at all.
+k_polynomial and scarf_rows read the Hilbert series numerator and the
+rows of a generic ideal with no lattice walk at all.
 """
+
+from itertools import combinations
 
 from betti4.homology import RATIONALS, koszul_complex, reduced_homology_rank
 from betti4.monomials import NUM_VARS, UNIT, MonomialIdeal, lcm, minimalize
@@ -133,3 +135,29 @@ def k_polynomial(gens):
         m = tuple(x + y for x, y in zip(m, pivot))
         poly[m] = poly.get(m, 0) + c
     return {m: c for m, c in poly.items() if c}
+
+
+def scarf_rows(gens):
+    """Multigraded Betti rows of S/(gens) read off its Scarf complex.
+
+    The lcm of every subset of at most five generators is counted, the
+    empty subset's 1 included, and an lcm that exactly one subset has
+    gets the unit row with its 1 in position |subset|.  Five suffice:
+    in four variables every lcm is the lcm of at most four of the
+    generators under it, so a subset of four or fewer shares its lcm
+    with another one exactly when it shares it with one of at most
+    five.  A lone lcm of five generators has no position and gets the
+    zero row, which for the same reason never happens.  When no two
+    generators share a positive exponent in one variable, the ideal is
+    generic and these faces, the Scarf complex, form its minimal free
+    resolution (Bayer, Peeva and Sturmfels 1998), so the rows are its
+    multigraded Betti numbers.
+    """
+    counts = {}
+    sizes = {}
+    for k in range(6):
+        for subset in combinations(gens, k):
+            m = lcm_all(subset)
+            counts[m] = counts.get(m, 0) + 1
+            sizes[m] = k
+    return {m: tuple(int(i == sizes[m]) for i in range(5)) for m, n in counts.items() if n == 1}

@@ -1,4 +1,4 @@
-"""The embedded 66-class table and its canonicalization map."""
+"""The embedded 66-class table and its index of every squarefree ideal by class id."""
 
 from itertools import permutations
 
@@ -7,7 +7,7 @@ from conftest import permutations_of_4
 from hypothesis import given, strategies as st
 
 from betti4 import atlas
-from betti4.atlas import LABELED_CLASSES, atlas_entries, atlas_records, canonicalize, lookup_multigraded
+from betti4.atlas import LABELED_CLASSES, atlas_entries, atlas_records, lookup_multigraded
 from betti4.errors import InternalInconsistency
 from betti4.squarefree import SquarefreeIdeal, parse_mask, permute_mask
 
@@ -23,46 +23,22 @@ def entry(class_id):
 
 def least_form(gens):
     """Reference: the lexicographically least sorted mask tuple over all 24
-    relabelings, with the first permutation that attains it."""
-    best = best_perm = None
-    for perm in permutations(range(4)):
-        cand = tuple(sorted(permute_mask(g, perm) for g in gens))
-        if best is None or cand < best:
-            best, best_perm = cand, perm
-    return best, best_perm
-
-
-def smallest_ids():
-    """Reference: each orbit's least form mapped to the smallest id listed in it."""
-    class_of = {}
-    for e in atlas_entries():
-        class_of.setdefault(least_form(e.gens)[0], e.id)
-    return class_of
-
-
-def test_canonicalize_matches_the_brute_force_search():
-    # every antichain under every relabeling: the class is the smallest
-    # id whose entry shares the least form, and the reported permutation
-    # is the first one that reaches it
-    class_of = smallest_ids()
-    assert len(LABELED_CLASSES) == 167
-    for gens in LABELED_CLASSES:
-        for perm in permutations(range(4)):
-            ideal = SquarefreeIdeal(tuple(sorted(permute_mask(g, perm) for g in gens)))
-            form, witness = least_form(ideal.gens)
-            assert canonicalize(ideal) == atlas.CanonicalForm(class_of[form], witness, form)
+    relabelings."""
+    return min(tuple(sorted(permute_mask(g, perm) for g in gens)) for perm in permutations(range(4)))
 
 
 def test_index_maps_every_squarefree_ideal_to_its_class_id():
     # the index holds plain class ids, each the smallest id of an entry
     # in the ideal's orbit, and the lookup reads that entry's row only
     # at the ideal's own support
-    smallest = smallest_ids()
+    smallest = {}
+    for e in atlas_entries():
+        smallest.setdefault(least_form(e.gens), e.id)
     assert len(LABELED_CLASSES) == 167
     for gens, cid in LABELED_CLASSES.items():
         ideal = SquarefreeIdeal(gens)
         assert isinstance(cid, int)
-        assert cid == smallest[least_form(gens)[0]] == canonicalize(ideal).class_id
+        assert cid == smallest[least_form(gens)]
         mate = entry(cid)
         assert lookup_multigraded(ideal, ideal.support) == (mate.beta2, mate.beta3)
         if ideal.support != 0b1111:
@@ -112,40 +88,27 @@ def test_row_goldens():
 def test_listed_entries_canonicalize_to_orbit_minimum():
     # relabel-equivalent listed entries share one class id: the least one
     for e in atlas_entries():
-        form = canonicalize(SquarefreeIdeal(e.gens))
-        assert form.class_id <= e.id
-        mate = entry(form.class_id)
+        cid = LABELED_CLASSES[e.gens]
+        assert cid <= e.id
+        mate = entry(cid)
         assert (mate.beta2, mate.beta3) == (e.beta2, e.beta3)
 
 
 def test_canonical_spot_checks():
-    assert canonicalize(sq("0101", "0011")).class_id == 7
-    assert canonicalize(sq("1100", "1010", "0011")).class_id == 16
-    assert canonicalize(sq("1110", "0111")).class_id == 48
-    assert canonicalize(sq("1110", "1101", "1011", "0111")).class_id == 64
-    assert canonicalize(SquarefreeIdeal((0,))).class_id == 1
-    assert canonicalize(sq("1111")).class_id == 66
-
-
-def test_canonicalize_rejects_zero_ideal():
-    with pytest.raises(ValueError):
-        canonicalize(SquarefreeIdeal(()))
+    assert LABELED_CLASSES[sq("0101", "0011").gens] == 7
+    assert LABELED_CLASSES[sq("1100", "1010", "0011").gens] == 16
+    assert LABELED_CLASSES[sq("1110", "0111").gens] == 48
+    assert LABELED_CLASSES[sq("1110", "1101", "1011", "0111").gens] == 64
+    assert LABELED_CLASSES[(0,)] == 1
+    assert LABELED_CLASSES[sq("1111").gens] == 66
+    # the zero ideal has no class
+    assert () not in LABELED_CLASSES
 
 
 @given(st.sampled_from(atlas_entries()), permutations_of_4())
 def test_canonicalize_is_permutation_invariant(e, perm):
-    ideal = SquarefreeIdeal(e.gens)
-    relabeled = SquarefreeIdeal(tuple(sorted(permute_mask(g, perm) for g in e.gens)))
-    assert canonicalize(relabeled).class_id == canonicalize(ideal).class_id
-
-
-def test_canonicalize_reports_applied_permutation():
-    ideal = sq("0101", "0011")
-    form = canonicalize(ideal)
-    image = tuple(sorted(permute_mask(g, form.permutation) for g in ideal.gens))
-    assert image == form.canonical_gens
-    # relabelings land on the same canonical generator tuple
-    assert canonicalize(sq("1100", "1010")).canonical_gens == form.canonical_gens
+    relabeled = tuple(sorted(permute_mask(g, perm) for g in e.gens))
+    assert LABELED_CLASSES[relabeled] == LABELED_CLASSES[e.gens]
 
 
 def test_lookup_guard():

@@ -13,8 +13,8 @@ from conftest import (
     model_or_staircase,
     staircase,
 )
-from hypothesis import example, given
-from reference import k_polynomial, lcm_all
+from hypothesis import example, given, settings
+from reference import k_polynomial, lcm_all, scarf_rows
 
 from betti4 import engine, multidegrees
 from betti4.cli import main
@@ -269,6 +269,41 @@ def test_every_point_is_the_lcm_of_at_most_four_generators(ideal):
         divisors = [g for g in ideal.gens if all(a <= b for a, b in zip(g, m))]
         witnesses = [next((g for g in divisors if g[j] == m[j]), None) for j in range(4)]
         assert None not in witnesses and lcm_all(witnesses) == m
+
+
+@st.composite
+def generic_ideals(draw, max_gens=20):
+    """Ideals in which no two generators share a positive exponent in one
+    variable, and none is constant.  Either q drawn exponent tuples,
+    each variable's positive exponents distinct and any of them 0
+    instead (minimalization thins these out), or a staircase antichain
+    of q generators spread out so that its exponents differ: each one
+    times q plus an offset below q, the offsets of a variable distinct."""
+    q = draw(st.integers(1, max_gens))
+    if draw(st.booleans()):
+        columns = [[0 if zero else e
+                    for e, zero in zip(draw(st.permutations(range(1, 2 * q + 1))),
+                                       draw(st.lists(st.booleans(), min_size=q, max_size=q)))]
+                   for _ in range(4)]
+        return MonomialIdeal(g for g in zip(*columns) if any(g))
+    offsets = [draw(st.permutations(range(q))) for _ in range(4)]
+    return MonomialIdeal(tuple(q * x + offsets[j][i] for j, x in enumerate(g))
+                         for i, g in enumerate(staircase(q, draw(st.integers(0, 2**32))).gens))
+
+
+@settings(max_examples=300)
+@given(generic_ideals())
+def test_generic_ideals_have_their_scarf_rows(ideal):
+    # the Scarf complex walks no lcm lattice, so a point that both the
+    # formula walk and the oracle's drop (they share the pairwise walk
+    # below COORDINATE_FROM generators) shows here; every row of a
+    # generic ideal is a unit vector, and no lone lcm of five
+    # generators (the zero row) appears
+    expected = scarf_rows(ideal.gens)
+    assert all(any(row) for row in expected.values())
+    formula = full_table(ideal, want_multigraded=True).multigraded
+    assert formula == oracle_betti(ideal, want_multigraded=True).multigraded == expected
+    assert all(sorted(row) == [0, 0, 0, 0, 1] for row in formula.values())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -137,7 +137,8 @@ def _identifiers(tree):
 def test_each_derived_fact_has_one_owner():
     # the generator cap is checked by multidegrees.check_cap alone, projective
     # dimension is read off the totals in tables.py alone, the atlas
-    # keeps one index (the brute-force relabeling search lives in the
+    # keeps one index and answers a class id from it alone, with no
+    # relabeling witness (the brute-force relabeling search lives in the
     # tests), every Betti row comes from the key table through one pass
     # over the walked points, with no second lattice scan or per-column
     # sum, and beta4's cross-check holds the quadruples' lcms alone;
@@ -167,7 +168,8 @@ def test_each_derived_fact_has_one_owner():
                          "dominant_members", "dominant_generators", "semidominance", "is_dominant",
                          "permute_monomial", "permute_ideal", "multigraded_oracle",
                          "minimalize_masks", "restrict", "squarefree_twin", "_twin_images",
-                         "IllFormedTwin", "RestrictionViolation", "NotInAtlas"):
+                         "IllFormedTwin", "RestrictionViolation", "NotInAtlas", "canonicalize",
+                         "CanonicalForm", "_PERMS"):
                 found.append(f"{name}:{line}: {ident}")
             elif ident == "projective_dimension" and name != "tables.py":
                 found.append(f"{name}:{line}: {ident} outside tables.py")
@@ -224,6 +226,29 @@ def test_star_import_yields_every_public_name():
         print(sorted(name for name in betti4.__all__ if name not in globals()))
     """)
     assert run_fresh_interpreter(probe).splitlines() == ["module", "True", "[]"]
+
+
+def _bench_targets():
+    """TARGETS of bench/run.py, read from its source without importing it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py assigns no TARGETS")
+
+
+def test_every_function_the_bench_traces_exists():
+    # the bench wraps each (module, attribute) of TARGETS where the
+    # command line and the oracle load it, and reports a missing one as
+    # null; a fresh interpreter, so only what those imports load counts
+    targets = _bench_targets()
+    probe = textwrap.dedent(f"""
+        import sys
+        import betti4.cli, betti4.homology
+        print([span for span, module, attr in {targets!r}
+               if not callable(getattr(sys.modules.get(module), attr, None))])
+    """)
+    assert targets and run_fresh_interpreter(probe).splitlines() == ["[]"]
 
 
 def test_every_mutant_snippet_occurs_exactly_once():

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from betti4.atlas import ENTRIES, AtlasEntry, CanonicalForm, canonicalize
+from betti4.atlas import ENTRIES, AtlasEntry
 from betti4.errors import InvariantViolation
 from betti4.homology import FieldSpec, SimplicialComplex
 from betti4.monomials import MonomialIdeal
@@ -29,8 +29,6 @@ CASES = {
     "FieldSpec": (lambda: FieldSpec(), lambda: FieldSpec(2)),
     "SquarefreeIdeal": (lambda: SquarefreeIdeal((3, 4)), lambda: SquarefreeIdeal((3,))),
     "AtlasEntry": (lambda: AtlasEntry(5, (1, 2, 4, 8), 15, 0, 0), lambda: ENTRIES[6]),
-    "CanonicalForm": (lambda: CanonicalForm(3, (0, 1, 2, 3), (1, 2)),
-                      lambda: CanonicalForm(3, (2, 3, 0, 1), (1, 2))),
     "TwinBundle": (lambda: build_bundle(MonomialIdeal(KOSZUL), (1, 1, 1, 1)),
                    lambda: build_bundle(MonomialIdeal(KOSZUL), (1, 1, 0, 0))),
 }
@@ -108,8 +106,6 @@ def test_constructors_take_their_fields_by_keyword():
     assert MonomialIdeal(gens=KOSZUL) == MonomialIdeal(KOSZUL)
     bundle = build_bundle(MonomialIdeal(KOSZUL), (1, 1, 1, 1))
     assert TwinBundle(**{field: getattr(bundle, field) for field in TwinBundle._fields}) == bundle
-    assert canonicalize(SquarefreeIdeal((1, 2))) == CanonicalForm(
-        class_id=3, permutation=(0, 1, 2, 3), canonical_gens=(1, 2))
 
 
 def test_from_rows_sums_the_columns_once_and_checks_the_rows():
