@@ -100,16 +100,22 @@ def koszul_complex(ideal, b):
 
 @lru_cache(maxsize=1)
 def _face_sets(ideal, degrees):
-    """The face set of koszul_complex(ideal, b) for each b in degrees, in order.
+    """The face set of koszul_complex(ideal, b) for each b in degrees, in
+    order, and the distinct face sets among them.
 
     Nothing here depends on the field, so one entry, for the most recent
-    ideal and lattice, serves all of verify's oracle passes.
+    ideal and lattice, serves all of verify's oracle calls.  The rows of
+    a pass depend on its field only through the homology profiles of the
+    distinct face sets, so oracle_betti compares those profiles to decide
+    whether the previous field's rows hold in this one too.
     """
-    # build the tuple from a list, at its exact size: tuple(<generator>)
-    # guesses a size and resizes, and with one such tuple cached and
-    # replaced per ideal, verify's peak RSS grows with run length (28.4
-    # against 25.5 MB after a 30 s bench run), where exact sizes stay flat
-    return tuple([koszul_complex(ideal, b).face_bits for b in degrees])
+    # build both tuples at their exact size, from a list and a set:
+    # tuple(<generator>) guesses a size and resizes, and with such tuples
+    # cached and replaced per ideal, verify's peak RSS grows with run
+    # length (28.4 against 25.5 MB after a 30 s bench run), where exact
+    # sizes stay flat
+    faces = tuple([koszul_complex(ideal, b).face_bits for b in degrees])
+    return faces, tuple(set(faces))
 
 
 def _matrix_rank(rows, char):
@@ -187,6 +193,11 @@ def reduced_homology_rank(complex_, dim, field=RATIONALS):
     return _homology_profile(complex_.face_bits, field.characteristic)[dim + 1]
 
 
+# the last table oracle_betti built: (distinct face sets, their profiles,
+# want_multigraded, table)
+_last_table = None
+
+
 def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=False):
     """Betti table of S/ideal by summing Koszul homology over the multidegrees.
 
@@ -204,12 +215,25 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
     checks the cap on every call, as the formula route does) and the
     Koszul face sets are each memoized for the most recent ideal only,
     one entry apiece, so calling this once per field builds them once;
-    an exception is never cached.
+    an exception is never cached.  The rows are built once per ideal as
+    well: a call first reads, in its own field, the profile of each
+    distinct face set the ideal has, and if every one equals the profile
+    the previous call read on the same face sets, the rows are equal
+    point by point, so it returns the previous call's table, which its
+    callers share and must not change.  A field whose profile differs on
+    any face set gets rows of its own.
     """
+    global _last_table
     char = field.characteristic
     degrees = enumerate_multidegrees(ideal, cap)
+    faces, distinct = _face_sets(ideal, degrees)
+    profiles = [_homology_profile(bits, char) for bits in distinct]
+    last = _last_table
+    # the memo holds its face-set tuple, so no other tuple can share its identity
+    if last and last[0] is distinct and last[1] == profiles and last[2] == want_multigraded:
+        return last[3]
     # the points are lex-sorted, so the unit comes first
-    points = zip(degrees, _face_sets(ideal, degrees))
+    points = zip(degrees, faces)
     b, bits = next(points)
     h = _homology_profile(bits, char)
     rows = {b: (1, h[0], h[1], h[2], h[3])}
@@ -217,4 +241,6 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
         h = _homology_profile(bits, char)
         if h != _ACYCLIC:
             rows[b] = (0, h[0], h[1], h[2], h[3])
-    return BettiTable.from_rows(rows, want_multigraded)
+    table = BettiTable.from_rows(rows, want_multigraded)
+    _last_table = (distinct, profiles, want_multigraded, table)
+    return table

@@ -98,7 +98,7 @@ def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
     read the generators at the points without building its own.
 
     The result for the most recent (ideal, cap) is memoized (one entry),
-    so the four oracle passes of verify share one walk.  The cap is part
+    so the four oracle calls of verify share one walk.  The cap is part
     of the key, so a call with a lower cap checks it again; an
     exception is never cached.
     """

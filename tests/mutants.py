@@ -270,6 +270,18 @@ MUTANTS = {
         "rows = {b: (0, h[0], h[1], h[2], h[3])}",
         ("tests/test_homology.py::test_oracle_degenerate_conventions",),
     ),
+    "homology: table reuse ignores the profiles": (
+        "homology.py",
+        "last[1] == profiles",
+        "True",
+        ("tests/test_cli.py::test_a_field_whose_profile_differs_on_one_face_set_gets_rows_of_its_own",),
+    ),
+    "homology: table reuse ignores want_multigraded": (
+        "homology.py",
+        "last[2] == want_multigraded",
+        "True",
+        ("tests/test_homology.py::test_oracle_pass_matches_the_per_point_definition",),
+    ),
     "key table: HOLLOW is the family of every mask": (
         "engine.py",
         "HOLLOW = upward_closure((1, 2, 4, 8))",
@@ -318,8 +330,8 @@ MUTANTS = {
     ),
     "cli: verify verdict reads the totals, not the rows": (
         "cli.py",
-        "agree = [oracle.multigraded == formula.multigraded for oracle in oracles]",
-        "agree = [oracle.betti == formula.betti for oracle in oracles]",
+        "ok, previous = oracle.multigraded == formula.multigraded, oracle",
+        "ok, previous = oracle.betti == formula.betti, oracle",
         ("tests/test_cli.py::test_verify_fails_on_rows_that_differ_under_equal_totals",),
     ),
     "text format: exponent 1 written as ^1": (

@@ -426,13 +426,20 @@ def test_verify_builds_each_koszul_complex_once_across_the_fields(capsys, monkey
     from betti4.multidegrees import enumerate_multidegrees
 
     built = []
+    read = []
     koszul_complex = homology.koszul_complex
+    homology_profile = homology._homology_profile
 
     def counted(ideal, b):
         built.append(b)
         return koszul_complex(ideal, b)
 
+    def profile_read(bits, char):
+        read.append(bits)
+        return homology_profile(bits, char)
+
     monkeypatch.setattr(homology, "koszul_complex", counted)
+    monkeypatch.setattr(homology, "_homology_profile", profile_read)
     # start from empty memos, so a test that ran this ideal before does not count
     enumerate_multidegrees.cache_clear()
     homology._face_sets.cache_clear()
@@ -440,6 +447,35 @@ def test_verify_builds_each_koszul_complex_once_across_the_fields(capsys, monkey
     assert code == 0 and "char0=ok char2=ok char3=ok char5=ok" in out
     lattice = enumerate_multidegrees(parse_ideal(WORKED), 20)
     assert built == list(lattice)
+    # every field reads the profile of each distinct face set, and only the
+    # first pass reads one more at every point to build the rows
+    distinct = set(homology._face_sets(parse_ideal(WORKED), lattice)[0])
+    assert len(read) == 4 * len(distinct) + len(lattice)
+
+
+def test_a_field_whose_profile_differs_on_one_face_set_gets_rows_of_its_own(capsys, monkeypatch):
+    from betti4 import homology
+    from betti4.multidegrees import enumerate_multidegrees
+
+    ideal = parse_ideal(WORKED)
+    faces, _ = homology._face_sets(ideal, enumerate_multidegrees(ideal, 20))
+    skewed_bits = faces[-1]
+    homology_profile = homology._homology_profile
+
+    def skewed(bits, char):
+        # one more cycle in dimension 0, over F2 and at one face set only
+        h = homology_profile(bits, char)
+        return (h[0], h[1] + 1, *h[2:]) if bits == skewed_bits and char == 2 else h
+
+    monkeypatch.setattr(homology, "_homology_profile", skewed)
+    rational, binary = (homology.oracle_betti(ideal, homology.FieldSpec(c), want_multigraded=True)
+                        for c in (0, 2))
+    assert binary.multigraded != rational.multigraded
+    code, out, _ = run(capsys, "verify", WORKED)
+    assert code == 1
+    assert out.startswith("line 1: char0=ok char2=FAIL char3=ok char5=ok  betti=[1, 4, 3, 0, 0]")
+    assert "  mismatch at characteristic 2\n" in out
+    assert "mismatch at characteristic 0" not in out
 
 
 @pytest.mark.parametrize("argv", [["betti", "--file", "{path}"], ["experiment", "--samples", "10000"]])

@@ -269,10 +269,13 @@ def test_face_set_memo_holds_the_most_recent_ideal_only():
         for field in ALL_FIELDS:
             oracle_betti(ideal, field)
             assert _face_sets.cache_info().currsize == 1
-    # each face set is the one koszul_complex builds at the same point
+    # each face set is the one koszul_complex builds at the same point,
+    # and the distinct ones are listed once each
     for ideal in (first, second):
         degrees = enumerate_multidegrees(ideal)
-        assert _face_sets(ideal, degrees) == tuple(koszul_complex(ideal, b).face_bits for b in degrees)
+        faces, distinct = _face_sets(ideal, degrees)
+        assert faces == tuple(koszul_complex(ideal, b).face_bits for b in degrees)
+        assert sorted(distinct) == sorted(set(faces))
 
 
 def test_oracle_on_the_variable_ideal():
