@@ -98,26 +98,6 @@ def koszul_complex(ideal, b):
     return _interned_complex(bits)
 
 
-@lru_cache(maxsize=1)
-def _face_sets(ideal, degrees):
-    """The face set of koszul_complex(ideal, b) for each b in degrees, in
-    order, and the distinct face sets among them.
-
-    Nothing here depends on the field, so one entry, for the most recent
-    ideal and lattice, serves all of verify's oracle calls.  The rows of
-    a pass depend on its field only through the homology profiles of the
-    distinct face sets, so oracle_betti compares those profiles to decide
-    whether the previous field's rows hold in this one too.
-    """
-    # build both tuples at their exact size, from a list and a set:
-    # tuple(<generator>) guesses a size and resizes, and with such tuples
-    # cached and replaced per ideal, verify's peak RSS grows with run
-    # length (28.4 against 25.5 MB after a 30 s bench run), where exact
-    # sizes stay flat
-    faces = tuple([koszul_complex(ideal, b).face_bits for b in degrees])
-    return faces, tuple(set(faces))
-
-
 def _matrix_rank(rows, char):
     """Rank of a small integer matrix over Q (char 0) or F_char.
 
@@ -193,9 +173,9 @@ def reduced_homology_rank(complex_, dim, field=RATIONALS):
     return _homology_profile(complex_.face_bits, field.characteristic)[dim + 1]
 
 
-# the last table oracle_betti built: (distinct face sets, their profiles,
-# want_multigraded, table)
-_last_table = None
+# the most recent oracle pass: (walk, the face set at each of its points,
+# the distinct face sets, their profiles, want_multigraded, table)
+_last = None
 
 
 def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=False):
@@ -205,42 +185,54 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
     and every lcm-lattice point b with x^(b - supp b) outside the ideal.
     At the other lattice points the complex is the full simplex on
     supp(b), which is acyclic, and off the lattice the homology vanishes
-    too, so no Betti number is lost.  Each point reads its row
-    straight from the cached homology profile; only the unit and the
-    points with nonzero homology keep a row, and the totals are the
-    column sums.  The zero and unit ideals need no branch: their only
-    point is the unit, whose complex gives (1,0,0,0,0) and (1,1,0,0,0).
+    too, so no Betti number is lost.  Each point reads its row from the
+    homology profile of its face set; only the unit and the points with
+    nonzero homology keep a row, and the totals are the column sums.
+    The zero and unit ideals need no branch: their only point is the
+    unit, whose complex gives (1,0,0,0,0) and (1,1,0,0,0).
 
-    Only the homology depends on the field.  The lattice walk (which
-    checks the cap on every call, as the formula route does) and the
-    Koszul face sets are each memoized for the most recent ideal only,
-    one entry apiece, so calling this once per field builds them once;
-    an exception is never cached.  The rows are built once per ideal as
-    well: a call first reads, in its own field, the profile of each
-    distinct face set the ideal has, and if every one equals the profile
-    the previous call read on the same face sets, the rows are equal
-    point by point, so it returns the previous call's table, which its
-    callers share and must not change.  A field whose profile differs on
-    any face set gets rows of its own.
+    Only the homology depends on the field.  The lattice walk checks
+    the cap on every call, as the formula route does, and is memoized
+    for the most recent ideal; the Koszul face sets, their profiles and
+    the table are memoized for the most recent walk, one entry in all,
+    so calling this once per field builds the face sets once; an
+    exception is never cached.  A call reads, in its own field, the
+    profile of each distinct face set of the walk.  If every one equals
+    the profile the previous call read on the same walk, the rows are
+    equal point by point, so it returns the previous call's table, which
+    its callers share and must not change.  A field whose profile
+    differs on any face set gets rows of its own.
     """
-    global _last_table
+    global _last
     char = field.characteristic
     degrees = enumerate_multidegrees(ideal, cap)
-    faces, distinct = _face_sets(ideal, degrees)
+    last = _last
+    # the memo holds its walk, so no other walk can take its identity, and
+    # the walk memo returns one walk per equal (ideal, cap)
+    hit = last and last[0] is degrees
+    if hit:
+        faces, distinct = last[1], last[2]
+    else:
+        # build both tuples at their exact size, from a list and a set:
+        # tuple(<generator>) guesses a size and resizes, and with such
+        # tuples kept and replaced per ideal, verify's peak RSS grows with
+        # run length (28.4 against 25.5 MB after a 30 s bench run), where
+        # exact sizes stay flat
+        faces = tuple([koszul_complex(ideal, b).face_bits for b in degrees])
+        distinct = tuple(set(faces))
     profiles = [_homology_profile(bits, char) for bits in distinct]
-    last = _last_table
-    # the memo holds its face-set tuple, so no other tuple can share its identity
-    if last and last[0] is distinct and last[1] == profiles and last[2] == want_multigraded:
-        return last[3]
+    if hit and last[3] == profiles and last[4] == want_multigraded:
+        return last[5]
+    profile_of = dict(zip(distinct, profiles))
     # the points are lex-sorted, so the unit comes first
     points = zip(degrees, faces)
     b, bits = next(points)
-    h = _homology_profile(bits, char)
+    h = profile_of[bits]
     rows = {b: (1, h[0], h[1], h[2], h[3])}
     for b, bits in points:
-        h = _homology_profile(bits, char)
+        h = profile_of[bits]
         if h != _ACYCLIC:
             rows[b] = (0, h[0], h[1], h[2], h[3])
     table = BettiTable.from_rows(rows, want_multigraded)
-    _last_table = (distinct, profiles, want_multigraded, table)
+    _last = (degrees, faces, distinct, profiles, want_multigraded, table)
     return table

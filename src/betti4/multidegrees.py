@@ -98,9 +98,10 @@ def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
     read the generators at the points without building its own.
 
     The result for the most recent (ideal, cap) is memoized (one entry),
-    so the four oracle calls of verify share one walk.  The cap is part
-    of the key, so a call with a lower cap checks it again; an
-    exception is never cached.
+    so the four oracle calls of verify share one walk, and the oracle
+    keys its own memo on that walk's identity.  The cap is part of the
+    key, so a call with a lower cap checks it again; an exception is
+    never cached.
     """
     gens = ideal.gens
     check_cap(gens, cap)

@@ -272,15 +272,30 @@ MUTANTS = {
     ),
     "homology: table reuse ignores the profiles": (
         "homology.py",
-        "last[1] == profiles",
+        "last[3] == profiles",
         "True",
         ("tests/test_cli.py::test_a_field_whose_profile_differs_on_one_face_set_gets_rows_of_its_own",),
     ),
     "homology: table reuse ignores want_multigraded": (
         "homology.py",
-        "last[2] == want_multigraded",
+        "last[4] == want_multigraded",
         "True",
         ("tests/test_homology.py::test_oracle_pass_matches_the_per_point_definition",),
+    ),
+    "homology: memo ignores which walk": (
+        "homology.py",
+        "hit = last and last[0] is degrees",
+        "hit = last and True",
+        ("tests/test_homology.py::test_oracle_memos_follow_any_sequence_of_ideals_and_fields",),
+    ),
+    "homology: memo read before the walk": (
+        "homology.py",
+        "    degrees = enumerate_multidegrees(ideal, cap)\n    last = _last\n",
+        "    last = _last\n"
+        "    # keyed on the generators, so an equal ideal skips the walk and its cap check\n"
+        "    degrees = (last[0] if last and last[0].columns[0] == sorted(ideal.gens, key=lambda g: g[3])\n"
+        "               else enumerate_multidegrees(ideal, cap))\n",
+        ("tests/test_homology.py::test_the_oracle_memo_never_answers_before_the_cap_check",),
     ),
     "key table: HOLLOW is the family of every mask": (
         "engine.py",

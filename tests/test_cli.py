@@ -442,15 +442,16 @@ def test_verify_builds_each_koszul_complex_once_across_the_fields(capsys, monkey
     monkeypatch.setattr(homology, "_homology_profile", profile_read)
     # start from empty memos, so a test that ran this ideal before does not count
     enumerate_multidegrees.cache_clear()
-    homology._face_sets.cache_clear()
+    monkeypatch.setattr(homology, "_last", None)
     code, out, _ = run(capsys, "verify", WORKED)
     assert code == 0 and "char0=ok char2=ok char3=ok char5=ok" in out
-    lattice = enumerate_multidegrees(parse_ideal(WORKED), 20)
+    ideal = parse_ideal(WORKED)
+    lattice = enumerate_multidegrees(ideal, 20)
     assert built == list(lattice)
-    # every field reads the profile of each distinct face set, and only the
-    # first pass reads one more at every point to build the rows
-    distinct = set(homology._face_sets(parse_ideal(WORKED), lattice)[0])
-    assert len(read) == 4 * len(distinct) + len(lattice)
+    # every field reads the profile of each distinct face set once, and
+    # the points read theirs from those, not from the profile cache
+    distinct = {koszul_complex(ideal, b).face_bits for b in lattice}
+    assert len(read) == 4 * len(distinct)
 
 
 def test_a_field_whose_profile_differs_on_one_face_set_gets_rows_of_its_own(capsys, monkeypatch):
@@ -458,8 +459,7 @@ def test_a_field_whose_profile_differs_on_one_face_set_gets_rows_of_its_own(caps
     from betti4.multidegrees import enumerate_multidegrees
 
     ideal = parse_ideal(WORKED)
-    faces, _ = homology._face_sets(ideal, enumerate_multidegrees(ideal, 20))
-    skewed_bits = faces[-1]
+    skewed_bits = homology.koszul_complex(ideal, enumerate_multidegrees(ideal, 20)[-1]).face_bits
     homology_profile = homology._homology_profile
 
     def skewed(bits, char):

@@ -3,14 +3,14 @@ from conftest import ideal_of, ideals, lcm_lattice, model_or_staircase, run_fres
 from hypothesis import given, strategies as st
 from reference import multigraded_oracle
 
-from betti4.errors import InvariantViolation
+from betti4 import homology
+from betti4.errors import GeneratorCapExceeded, InvariantViolation
 from betti4.homology import (
     ALL_FIELDS,
     RATIONALS,
     FieldSpec,
     SimplicialComplex,
     _boundary_matrix,
-    _face_sets,
     _homology_profile,
     _interned_complex,
     koszul_complex,
@@ -264,18 +264,28 @@ def test_oracle_memos_follow_any_sequence_of_ideals_and_fields(calls):
 def test_face_set_memo_holds_the_most_recent_ideal_only():
     first = ideal_of((1, 0, 0, 0), (0, 1, 0, 0))
     second = ideal_of((2, 0, 0, 0), (0, 0, 3, 0), (0, 1, 1, 1))
-    assert _face_sets.cache_info().maxsize == 1
     for ideal in (first, second, first):
         for field in ALL_FIELDS:
             oracle_betti(ideal, field)
-            assert _face_sets.cache_info().currsize == 1
-    # each face set is the one koszul_complex builds at the same point,
-    # and the distinct ones are listed once each
-    for ideal in (first, second):
-        degrees = enumerate_multidegrees(ideal)
-        faces, distinct = _face_sets(ideal, degrees)
-        assert faces == tuple(koszul_complex(ideal, b).face_bits for b in degrees)
-        assert sorted(distinct) == sorted(set(faces))
+            # one entry, for the walk of the most recent ideal: each face
+            # set is the one koszul_complex builds at the same point, and
+            # the distinct ones are listed once each
+            walk, faces, distinct = homology._last[:3]
+            assert walk is enumerate_multidegrees(ideal, 20)
+            assert faces == tuple(koszul_complex(ideal, b).face_bits for b in walk)
+            assert sorted(distinct) == sorted(set(faces))
+
+
+def test_the_oracle_memo_never_answers_before_the_cap_check():
+    # the memo holds the walk the cap check returned, so a lower cap is
+    # refused even in a field whose profiles would let it reuse the table
+    ideal = staircase(8, 3)
+    q = len(ideal.gens)
+    binary = FieldSpec(2)
+    oracle_betti(ideal, RATIONALS, 20)
+    with pytest.raises(GeneratorCapExceeded, match=f"{q} generators exceed the cap of {q - 1}"):
+        oracle_betti(ideal, binary, q - 1)
+    assert oracle_betti(ideal, binary, q, want_multigraded=True) == oracle_by_points(ideal, binary)
 
 
 def test_oracle_on_the_variable_ideal():

@@ -169,7 +169,7 @@ def test_each_derived_fact_has_one_owner():
                          "permute_monomial", "permute_ideal", "multigraded_oracle",
                          "minimalize_masks", "restrict", "squarefree_twin", "_twin_images",
                          "IllFormedTwin", "RestrictionViolation", "NotInAtlas", "canonicalize",
-                         "CanonicalForm", "_PERMS"):
+                         "CanonicalForm", "_PERMS", "_face_sets", "_last_table"):
                 found.append(f"{name}:{line}: {ident}")
             elif ident == "projective_dimension" and name != "tables.py":
                 found.append(f"{name}:{line}: {ident} outside tables.py")
