@@ -72,7 +72,6 @@ class Walk(tuple):
     .columns to the generator_columns it tested them on."""
 
 
-@lru_cache(maxsize=1)
 def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
     """The unit and the lcm-lattice points that are not cones, as a Walk.
 
@@ -99,10 +98,17 @@ def enumerate_multidegrees(ideal, cap=DEFAULT_GEN_CAP):
 
     The result for the most recent (ideal, cap) is memoized (one entry),
     so the four oracle calls of verify share one walk, and the oracle
-    keys its own memo on that walk's identity.  The cap is part of the
-    key, so a call with a lower cap checks it again; an exception is
-    never cached.
+    keys its own memo on that walk's identity.  The key is the ideal
+    and the cap's value, however the cap was passed or left out, so
+    equal calls get the identical walk.  The cap is part of the key, so
+    a call with a lower cap checks it again; an exception is never
+    cached.
     """
+    return _walk(ideal, cap)
+
+
+@lru_cache(maxsize=1)
+def _walk(ideal, cap):
     gens = ideal.gens
     check_cap(gens, cap)
     columns = generator_columns(gens)

@@ -8,14 +8,29 @@ bare ``1`` denotes the unit monomial.  Repeated variables multiply, so
 ``x1*x1`` means ``x1^2``.  The writer uses ``x1``..``x4`` only, writes
 no exponent 1 and no factor of exponent 0, and so reads back as the
 ideal it was given.
+
+Both directions are memoized, up to _MEMO_SIZE entries each.  The
+reader maps a generator's exact text (what lies between commas once
+comments are blanked, whitespace included) to its exponents, and reuses
+them when the cap admits them; every other generator is read by the one
+scanner, _FACTOR, in place, so every error and its position come from
+that scanner.  The writer keeps the text of recent monomials.  When
+full, the reader's memo starts over and the writer's drops its least
+recently used entry.
 """
 
 import re
+from functools import lru_cache
 
 from .errors import ExponentCapExceeded, ParseError, VariableOutOfRange
 from .monomials import NUM_VARS, MonomialIdeal
 
 DEFAULT_EXP_CAP = 64
+
+# entries in each memo: generator text -> exponents, and monomial -> text;
+# the random model's exponents up to 4 give 624 nonzero monomials
+_MEMO_SIZE = 4096
+_GENERATORS = {}
 
 _NAMES = ("x1", "x2", "x3", "x4")
 _INDEX = {**{name: j for j, name in enumerate(_NAMES)}, "a": 0, "b": 1, "c": 2, "d": 3}
@@ -72,21 +87,12 @@ def _bad_exponent(text, m, max_exp):
     )
 
 
-def parse_ideal(text, max_exp=DEFAULT_EXP_CAP):
-    """Parse a generator list into the MonomialIdeal it generates.
-
-    An input that is only whitespace or comments denotes the zero ideal.
-    Every error position is an offset into text.
-    """
-    if "#" in text:
-        text = _blank_comments(text)
-    if not text or text.isspace():
-        return MonomialIdeal(())
+def _scan(text, pos, max_exp):
+    """The exponents of the generator that starts at offset pos, read a
+    factor at a time up to the ',' after it or the end of text."""
     cap_digits = len(str(max_exp))
     match = _FACTOR.match
-    gens = []
     exps = [0] * NUM_VARS
-    pos = 0
     while True:
         m = match(text, pos)
         name, exp, unit, _, sep = m.groups()
@@ -117,13 +123,42 @@ def parse_ideal(text, max_exp=DEFAULT_EXP_CAP):
             continue
         if sep is None:
             raise ParseError(f"expected '*' before {text[m.end()]!r}", m.end())
-        gens.append(tuple(exps))
-        if not sep:
+        return tuple(exps)
+
+
+def parse_ideal(text, max_exp=DEFAULT_EXP_CAP):
+    """Parse a generator list into the MonomialIdeal it generates.
+
+    An input that is only whitespace or comments denotes the zero ideal.
+    Every error position is an offset into text.
+    """
+    if "#" in text:
+        text = _blank_comments(text)
+    if not text or text.isspace():
+        return MonomialIdeal(())
+    memo = _GENERATORS
+    gens = []
+    pos = 0
+    while True:
+        # no token matches a comma, so a generator's text is read the
+        # same wherever it stands, and the memo answers for it when the
+        # cap admits its exponents; otherwise the scanner reads it, in
+        # place, and raises any error there
+        end = text.find(",", pos)
+        key = text[pos:end] if end >= 0 else text[pos:]
+        gen = memo.get(key)
+        if gen is None or max(gen) > max_exp:
+            gen = _scan(text, pos, max_exp)
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            memo[key] = gen
+        gens.append(gen)
+        if end < 0:
             return MonomialIdeal(gens)
-        exps = [0] * NUM_VARS
-        pos = m.end()
+        pos = end + 1
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def format_monomial(m):
     """The text of one monomial: its factors joined by '*', or "1"."""
     return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(_NAMES, m) if e]) or "1"

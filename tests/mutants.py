@@ -355,6 +355,36 @@ MUTANTS = {
         'f"{name}^{e}"',
         ("tests/test_cli.py::test_format_monomial",),
     ),
+    "text format: a memo hit skips the cap check": (
+        "parsing.py",
+        "if gen is None or max(gen) > max_exp:",
+        "if gen is None:",
+        ("tests/test_parsing.py::test_a_memoized_generator_meets_a_lower_cap_as_the_scanner_does",),
+    ),
+    "text format: the memo key drops whitespace": (
+        "parsing.py",
+        "key = text[pos:end] if end >= 0 else text[pos:]",
+        'key = "".join((text[pos:end] if end >= 0 else text[pos:]).split())',
+        ("tests/test_parsing.py::test_the_memo_keys_on_a_generators_exact_text",),
+    ),
+    "text format: a missed generator scanned out of place": (
+        "parsing.py",
+        "gen = _scan(text, pos, max_exp)",
+        "gen = _scan(key, 0, max_exp)",
+        ("tests/test_parsing.py::test_an_error_after_memo_hits_keeps_the_scanners_position",),
+    ),
+    "text format: the generator memo never starts over": (
+        "parsing.py",
+        "            if len(memo) >= _MEMO_SIZE:\n                memo.clear()\n",
+        "",
+        ("tests/test_parsing.py::test_neither_memo_grows_past_its_bound",),
+    ),
+    "text format: the writer's memo unbounded": (
+        "parsing.py",
+        "@lru_cache(maxsize=_MEMO_SIZE)",
+        "@lru_cache(maxsize=None)",
+        ("tests/test_parsing.py::test_neither_memo_grows_past_its_bound",),
+    ),
     "package: a public name mapped to the wrong module": (
         "__init__.py",
         '"parse_ideal": "parsing",',

@@ -422,7 +422,7 @@ def test_runs_as_a_module(module):
 
 
 def test_verify_builds_each_koszul_complex_once_across_the_fields(capsys, monkeypatch):
-    from betti4 import homology
+    from betti4 import homology, multidegrees
     from betti4.multidegrees import enumerate_multidegrees
 
     built = []
@@ -441,7 +441,7 @@ def test_verify_builds_each_koszul_complex_once_across_the_fields(capsys, monkey
     monkeypatch.setattr(homology, "koszul_complex", counted)
     monkeypatch.setattr(homology, "_homology_profile", profile_read)
     # start from empty memos, so a test that ran this ideal before does not count
-    enumerate_multidegrees.cache_clear()
+    multidegrees._walk.cache_clear()
     monkeypatch.setattr(homology, "_last", None)
     code, out, _ = run(capsys, "verify", WORKED)
     assert code == 0 and "char0=ok char2=ok char3=ok char5=ok" in out

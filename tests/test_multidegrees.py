@@ -78,13 +78,24 @@ def test_memo_checks_a_lower_cap_again():
 def test_memo_holds_the_most_recent_lattice_only():
     first = ideal_of((1, 0, 0, 0), (0, 1, 0, 0))
     second = ideal_of((2, 0, 0, 0), (0, 0, 3, 0), (0, 1, 1, 1))
-    assert enumerate_multidegrees.cache_info().maxsize == 1
+    assert multidegrees._walk.cache_info().maxsize == 1
     for ideal in (first, second, first):
         enumerate_multidegrees(ideal, 20)
-        assert enumerate_multidegrees.cache_info().currsize == 1
-    hits = enumerate_multidegrees.cache_info().hits
+        assert multidegrees._walk.cache_info().currsize == 1
+    hits = multidegrees._walk.cache_info().hits
     assert enumerate_multidegrees(first, 20) == ((0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0))
-    assert enumerate_multidegrees.cache_info().hits == hits + 1
+    assert multidegrees._walk.cache_info().hits == hits + 1
+
+
+def test_every_call_form_of_one_cap_gets_the_identical_walk():
+    # the memo keys on the cap's value, so leaving it to its default,
+    # passing it positionally or by keyword is one walk
+    ideal = ideal_of((2, 0, 0, 0), (0, 0, 3, 0), (0, 1, 1, 1))
+    multidegrees._walk.cache_clear()
+    walk = enumerate_multidegrees(ideal)
+    assert enumerate_multidegrees(ideal, multidegrees.DEFAULT_GEN_CAP) is walk
+    assert enumerate_multidegrees(ideal, cap=multidegrees.DEFAULT_GEN_CAP) is walk
+    assert multidegrees._walk.cache_info().misses == 1
 
 
 @given(ideals())
@@ -164,11 +175,11 @@ def test_walk_tests_far_fewer_points_than_the_lattice_holds(monkeypatch):
     ideal = staircase(100, 13)
     monkeypatch.setattr(multidegrees, "generator_columns", _counted_columns)
     monkeypatch.setattr(CountedColumn, "reads", 0)
-    enumerate_multidegrees.cache_clear()
+    multidegrees._walk.cache_clear()
     try:
         walked = enumerate_multidegrees(ideal, 100)
     finally:
-        enumerate_multidegrees.cache_clear()
+        multidegrees._walk.cache_clear()
     assert CountedColumn.reads % 4 == 0
     tests = CountedColumn.reads // 4
     assert len(walked) <= tests < 62_645 // 2
@@ -196,11 +207,11 @@ def test_columns_are_built_once_per_ideal(monkeypatch, capsys):
     for q, builds in ((COORDINATE_FROM - 1, 1), (24, 2)):
         ideal = staircase(q, 5)
         calls.clear()
-        enumerate_multidegrees.cache_clear()
+        multidegrees._walk.cache_clear()
         table = full_table(ideal, cap=40)
         assert calls == [ideal.gens]
         calls.clear()
-        enumerate_multidegrees.cache_clear()
+        multidegrees._walk.cache_clear()
         assert main(["verify", "--max-gens", "40", format_ideal(ideal)]) == 0
         assert calls == [ideal.gens] * builds
         out = capsys.readouterr().out
@@ -323,7 +334,7 @@ def test_the_walk_picks_its_loop_by_generator_count(monkeypatch):
         monkeypatch.setattr(engine, walk.__name__,
                             lambda *args, walk=walk: picked.append(walk) or walk(*args))
     for q in (1, COORDINATE_FROM - 1, COORDINATE_FROM, 28):
-        enumerate_multidegrees.cache_clear()
+        multidegrees._walk.cache_clear()
         full_table(staircase(q, 3), cap=40)
     walks = [enumerate_multidegrees, enumerate_multidegrees, _coordinate_rows, _coordinate_rows]
     assert picked == walks

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from betti4 import parsing
 from betti4.errors import ExponentCapExceeded, ParseError, VariableOutOfRange
 from betti4.monomials import NUM_VARS, MonomialIdeal
-from betti4.parsing import DEFAULT_EXP_CAP, format_ideal, parse_ideal
+from betti4.parsing import DEFAULT_EXP_CAP, format_ideal, format_monomial, parse_ideal
 
 _DIGITS = frozenset("0123456789")
 _ALIASES = {"a": 1, "b": 2, "c": 3, "d": 4}
@@ -230,8 +231,15 @@ _EXTRA_TOKENS = ["\u00a0", "\u3000", "\x85", "1^2", "x1^065"]
 @given(st.text() | st.lists(st.sampled_from(_TOKENS + _EXTRA_TOKENS)).map("".join),
        st.sampled_from([1, 8, 64, 99, 1000]))
 def test_parse_ideal_matches_the_character_scanner(text, cap):
-    # same ideal, or the same error class, message and position
-    assert _outcome(parse_ideal, text, cap) == _outcome(_parse_ideal_by_chars, text, cap)
+    # same ideal, or the same error class, message and position, on a
+    # cold generator memo and on one warmed by the same text, once under
+    # this cap and once under a higher one
+    want = _outcome(_parse_ideal_by_chars, text, cap)
+    parsing._GENERATORS.clear()
+    assert _outcome(parse_ideal, text, cap) == want
+    assert _outcome(parse_ideal, text, cap) == want
+    _outcome(parse_ideal, text, 1000)
+    assert _outcome(parse_ideal, text, cap) == want
 
 
 @pytest.mark.parametrize("text, cap, error, message, position", [
@@ -277,3 +285,95 @@ def capped_ideals(draw):
 def test_format_then_parse_round_trips(case):
     cap, ideal = case
     assert parse_ideal(format_ideal(ideal), cap) == ideal
+
+
+def _warm(*texts):
+    """A generator memo that holds exactly what texts parse to."""
+    parsing._GENERATORS.clear()
+    for text in texts:
+        parse_ideal(text)
+
+
+@pytest.mark.parametrize("text, error, message, position", [
+    ("x1^2*x2, x3, x2*x5", VariableOutOfRange, "variable x5 is outside x1..x4", 16),
+    ("x1^2*x2, x3, x4^65", ExponentCapExceeded, "exponent 65 exceeds the cap of 64", 17),
+    ("x1^2*x2, x3,  , x4", ParseError, "empty generator", 14),
+    ("x1^2*x2, x3, x4 *", ParseError, "dangling '*'", 17),
+    ("x1^2*x2, x3, x4^0", ParseError, "exponent must be positive", 16),
+    ("x1^2*x2, x3 x4", ParseError, "expected '*' before 'x'", 12),
+])
+def test_an_error_after_memo_hits_keeps_the_scanners_position(text, error, message, position):
+    _warm("x1^2*x2, x3")
+    assert {"x1^2*x2", " x3"} <= parsing._GENERATORS.keys()
+    with pytest.raises(ParseError) as info:
+        parse_ideal(text)
+    assert type(info.value) is error
+    assert str(info.value) == f"{message} (at position {position})"
+    assert _outcome(parse_ideal, text, DEFAULT_EXP_CAP) == _outcome(
+        _parse_ideal_by_chars, text, DEFAULT_EXP_CAP)
+
+
+@pytest.mark.parametrize("text, cap, message, position", [
+    ("x1, x2^9*x3", 8, "exponent 9 exceeds the cap of 8", 7),
+    ("x1, x2^5*x2^4", 8, "exponent 9 exceeds the cap of 8", 12),
+    ("x1, x2*x2", 1, "exponent 2 exceeds the cap of 1", 8),
+    ("x1, x2^10", 9, "exponent 10 exceeds the cap of 9", 8),
+])
+def test_a_memoized_generator_meets_a_lower_cap_as_the_scanner_does(text, cap, message, position):
+    # memoized under the default cap, refused under a lower one with the
+    # cold scanner's error, and still answered under a cap it fits
+    _warm(text)
+    for _ in range(2):
+        with pytest.raises(ExponentCapExceeded) as info:
+            parse_ideal(text, cap)
+        assert str(info.value) == f"{message} (at position {position})"
+    assert parse_ideal(text, DEFAULT_EXP_CAP) == _parse_ideal_by_chars(text)
+    parsing._GENERATORS.clear()
+    assert _outcome(parse_ideal, text, cap) == (ExponentCapExceeded, str(info.value), position)
+
+
+def test_the_memo_keys_on_a_generators_exact_text():
+    # whitespace inside a generator is part of its text: a space can
+    # split an exponent or a variable, which is an error
+    _warm("x1^10", "x1")
+    for text, message, position in (("x1^1 0", "expected '*' before '0'", 5),
+                                     ("x 1", "expected a number", 1)):
+        with pytest.raises(ParseError) as info:
+            parse_ideal(text)
+        assert str(info.value) == f"{message} (at position {position})"
+    assert parse_ideal(" x1^10 ").gens == ((10, 0, 0, 0),)
+
+
+def test_text_after_a_blanked_comment_hits_the_memo():
+    # a comment is blanked, up to and with its line end, before the text
+    # is cut at commas, so a comma inside it separates nothing, and the
+    # blanked text is the key
+    text = "x1, # x4, x3\n x2^3"
+    parsing._GENERATORS.clear()
+    cold = parse_ideal(text)
+    assert cold.gens == ((0, 3, 0, 0), (1, 0, 0, 0))
+    assert " " * 11 + "x2^3" in parsing._GENERATORS.keys()
+    assert " x4" not in parsing._GENERATORS.keys()
+    assert parse_ideal(text) == cold
+    assert parse_ideal("x1, # x1, x2\n x2^3") == cold
+    assert parse_ideal("x3, # x1\n x2^3*x4, x2^3") == _parse_ideal_by_chars(
+        "x3, # x1\n x2^3*x4, x2^3")
+
+
+def test_neither_memo_grows_past_its_bound():
+    bound = parsing._MEMO_SIZE
+    texts = [f"x1^{a}*x2^{b}*x3^{c}" for a in range(2, 65) for b in range(2, 65) for c in (2, 3, 4, 5)]
+    assert len(texts) >= 3 * bound
+    parsing._GENERATORS.clear()
+    largest = 0
+    for text in texts:
+        parse_ideal(text)
+        largest = max(largest, len(parsing._GENERATORS))
+    assert largest == bound
+    # the memo still holds the most recent generator
+    assert texts[-1] in parsing._GENERATORS
+    monomials = [parse_ideal(text).gens[0] for text in texts]
+    for m, text in zip(monomials, texts):
+        assert format_monomial(m) == text
+    info = format_monomial.cache_info()
+    assert info.maxsize == bound and info.currsize == bound

@@ -1,6 +1,7 @@
 """Checks on the package source itself and on how it runs."""
 
 import ast
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -118,6 +119,26 @@ def test_numbers_are_ascii_digits_only():
                     and node.func.attr in ("isdigit", "isdecimal", "isnumeric")):
                 found.append(f"{name}:{node.lineno}: .{node.func.attr}()")
     assert found == []
+
+
+def test_the_text_format_compiles_one_pattern():
+    # parse_ideal reads every generator it has not memoized with the one
+    # scanner, _FACTOR, so its errors and positions have one source; a
+    # fast path with a grammar of its own would have to agree with it on
+    # every error, and was measured and left out
+    tree = dict(_modules())["parsing.py"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "re":
+            found.append(f"{node.lineno}: from re import")
+        elif isinstance(node, ast.Import) and any(a.name == "re" and a.asname for a in node.names):
+            found.append(f"{node.lineno}: import re as")
+        elif (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "re"
+                and callable(getattr(re, node.attr, None))):
+            found.append(f"{node.lineno}: re.{node.attr}")
+    factor = [node.lineno for node in tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["_FACTOR"]]
+    assert len(factor) == 1 and found == [f"{factor[0]}: re.compile"]
 
 
 def _identifiers(tree):
