@@ -12,7 +12,6 @@ cross-check.
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -31,8 +30,9 @@ from .squarefree import mask_monomial, mask_string
 # that span
 from . import twins  # noqa: F401
 
-# the oracle and random are imported by the subcommands that use
-# them, so ``betti`` starts without them
+# the oracle, random and json are imported by the subcommands that use
+# them, so ``betti`` starts without the oracle or random, and ``verify``
+# without json
 
 SCHEMA_VERSION = 1
 
@@ -79,6 +79,8 @@ def _multigraded_json(rows):
 
 
 def cmd_betti(args):
+    import json
+
     failed = False
     for number, line in _read_inputs(args):
         try:
@@ -179,6 +181,8 @@ def cmd_atlas(args):
         print("all 66 entries agree with the oracle over every supported field")
         return 0
     if args.json:
+        import json
+
         print(json.dumps(atlas_records()))
         return 0
     print(f"{'id':>3}  {'generators':<36} {'y_m':<6} {'b2':>2}  {'b3':>2}")

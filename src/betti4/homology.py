@@ -3,9 +3,11 @@
 For a degree b, the faces are the vertex subsets t of {1..4} with
 x^(b-t) still inside the ideal; the reduced homology of that complex in
 dimension i-2 is the multigraded Betti number in homological degree i.
-Everything here is exact integer or mod-p arithmetic; no formula from
-the rest of the package is consulted, which is what makes this module
-usable as an oracle for all of them.
+The boundary maps are read from one table, FACETS, of the signed facets
+of every face of the 3-simplex, and each face set is eliminated once per
+field.  Everything here is exact integer or mod-p arithmetic; no formula
+from the rest of the package is consulted, which is what makes this
+module usable as an oracle for all of them.
 """
 
 from functools import lru_cache
@@ -98,45 +100,45 @@ def koszul_complex(ideal, b):
     return _interned_complex(bits)
 
 
-def _matrix_rank(rows, char):
-    """Rank of a small integer matrix over Q (char 0) or F_char.
+# FACETS[f] holds the facets of the face f (a 4-bit vertex set) with
+# their signs in the boundary map: dropping the k-th vertex of f, in
+# increasing order, gives the facet with sign (-1)^k.  FACES_BY_SIZE[n]
+# lists the faces with n vertices.
+FACETS = tuple(
+    tuple((f & ~(1 << v), -1 if k % 2 else 1)
+          for k, v in enumerate([v for v in range(4) if f >> v & 1]))
+    for f in range(16)
+)
+FACES_BY_SIZE = tuple(tuple(f for f in range(16) if f.bit_count() == n) for n in range(5))
 
-    Plain Gaussian elimination with cross-multiplication instead of
-    division, so every intermediate value is an exact integer; entries
-    are reduced mod char when working over a prime field.
+
+def _rank(rows, char):
+    """Rank over Q (char 0) or F_char of sparse rows of (column, entry) pairs.
+
+    Each row is reduced against the pivot that holds its largest column
+    until it is zero or leads a column no pivot holds.  A reduction is
+    lead * row - entry * pivot, so every value stays an exact integer;
+    over a prime field every entry is reduced mod char and zeros dropped.
     """
-    rows = [list(r) for r in rows]
-    if char:
-        rows = [[x % char for x in r] for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    for c in range(n):
-        pivot = next((i for i in range(rank, m) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][c]
-        for i in range(rank + 1, m):
-            f = rows[i][c]
-            if f:
-                merged = [lead * a - f * b for a, b in zip(rows[i], rows[rank])]
-                rows[i] = [x % char for x in merged] if char else merged
-        rank += 1
-    return rank
-
-
-def _boundary_matrix(faces, d):
-    """Signed incidence matrix of the boundary map from d-faces to (d-1)-faces."""
-    domain = sorted(f for f in faces if f.bit_count() == d + 1)
-    codomain = sorted(f for f in faces if f.bit_count() == d)
-    index = {f: i for i, f in enumerate(codomain)}
-    matrix = [[0] * len(domain) for _ in codomain]
-    for j, f in enumerate(domain):
-        vertices = [i for i in range(4) if f >> i & 1]
-        for k, v in enumerate(vertices):
-            matrix[index[f & ~(1 << v)]][j] = -1 if k % 2 else 1
-    return matrix
+    pivots = {}
+    for row in rows:
+        row = {c: x % char for c, x in row if x % char} if char else dict(row)
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, b = pivot[lead], row[lead]
+            merged = {}
+            for c in row.keys() | pivot.keys():
+                x = a * row.get(c, 0) - b * pivot.get(c, 0)
+                if char:
+                    x %= char
+                if x:
+                    merged[c] = x
+            row = merged
+    return len(pivots)
 
 
 # the profile of a complex with no reduced homology at all
@@ -148,18 +150,21 @@ def _homology_profile(face_bits, char):
     """Reduced homology ranks in dimensions -1..3 for a complex fingerprint.
 
     Keyed on the 16-bit fingerprint so the at most 168 downward-closed
-    families on four vertices are each eliminated once per field.
+    families on four vertices are each eliminated once per field.  The
+    boundary map from the faces with n vertices has the rows FACETS[f]
+    of those faces f; a downward-closed set holds every facet of its
+    faces, so the rows need no column selected.
     """
-    faces = [f for f in range(16) if face_bits >> f & 1]
-    counts = [0] * 5
-    for f in faces:
-        counts[f.bit_count()] += 1
-    # boundary ranks indexed by domain dimension -1..4; the maps off
-    # both ends are zero
-    ranks = [0] * 6
-    for d in range(0, 4):
-        ranks[d + 1] = _matrix_rank(_boundary_matrix(faces, d), char)
-    profile = tuple(counts[d + 1] - ranks[d + 1] - ranks[d + 2] for d in range(-1, 4))
+    counts = [face_bits & 1]
+    # boundary ranks indexed by the domain's vertex count 0..5; the maps
+    # off both ends are zero
+    ranks = [0]
+    for faces in FACES_BY_SIZE[1:]:
+        rows = [FACETS[f] for f in faces if face_bits >> f & 1]
+        counts.append(len(rows))
+        ranks.append(_rank(rows, char))
+    ranks.append(0)
+    profile = tuple(counts[n] - ranks[n] - ranks[n + 1] for n in range(5))
     # four variables never leave homology at the top dimension
     if profile[4]:
         raise InternalInconsistency(f"face set {face_bits:#06x} has homology in dimension 3")

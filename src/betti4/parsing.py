@@ -12,9 +12,10 @@ ideal it was given.
 Both directions are memoized, up to _MEMO_SIZE entries each.  The
 reader maps a generator's exact text (what lies between commas once
 comments are blanked, whitespace included) to its exponents, and reuses
-them when the cap admits them; every other generator is read by the one
-scanner, _FACTOR, in place, so every error and its position come from
-that scanner.  The writer keeps the text of recent monomials.  When
+them when the cap admits them; it keeps only texts of at most _KEY_SIZE
+characters, so the memo's size is bounded too.  Every other generator
+is read by the one scanner, _FACTOR, in place, so every error and its
+position come from that scanner.  The writer keeps the text of recent monomials.  When
 full, the reader's memo starts over and the writer's drops its least
 recently used entry.
 """
@@ -30,6 +31,9 @@ DEFAULT_EXP_CAP = 64
 # entries in each memo: generator text -> exponents, and monomial -> text;
 # the random model's exponents up to 4 give 624 nonzero monomials
 _MEMO_SIZE = 4096
+# the longest generator text the reader keeps; a longer one (padding,
+# say) is scanned every time it is read
+_KEY_SIZE = 64
 _GENERATORS = {}
 
 _NAMES = ("x1", "x2", "x3", "x4")
@@ -149,9 +153,10 @@ def parse_ideal(text, max_exp=DEFAULT_EXP_CAP):
         gen = memo.get(key)
         if gen is None or max(gen) > max_exp:
             gen = _scan(text, pos, max_exp)
-            if len(memo) >= _MEMO_SIZE:
-                memo.clear()
-            memo[key] = gen
+            if len(key) <= _KEY_SIZE:
+                if len(memo) >= _MEMO_SIZE:
+                    memo.clear()
+                memo[key] = gen
         gens.append(gen)
         if end < 0:
             return MonomialIdeal(gens)

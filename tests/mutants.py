@@ -42,6 +42,9 @@ WALK = ("tests/test_multidegrees.py::test_multidegrees_are_exactly_the_subset_lc
         "tests/test_multidegrees.py::test_cones_are_left_out")
 CLI_LOADS = "tests/test_source.py::test_entry_point_loads_only_what_it_uses[betti4.cli]"
 READS = "tests/test_multidegrees.py::test_walk_tests_far_fewer_points_than_the_lattice_holds"
+NO_TORSION = "tests/test_homology.py::test_homology_on_four_vertices_has_no_torsion"
+DENSE = "tests/test_homology.py::test_facet_table_profiles_match_the_dense_elimination"
+TORSION = "tests/test_homology.py::test_rank_sees_torsion_that_four_vertices_never_have"
 KEYED = ("tests/test_multidegrees.py::test_keyed_walk_gives_the_rows_of_the_pairwise_walk",
          "tests/test_multidegrees.py::test_keyed_walk_gives_the_rows_of_the_pairwise_walk_on_staircases")
 
@@ -254,9 +257,33 @@ MUTANTS = {
     ),
     "homology: unsigned boundary matrices": (
         "homology.py",
-        "= -1 if k % 2 else 1",
-        "= 1",
-        ("tests/test_homology.py::test_homology_on_four_vertices_has_no_torsion",),
+        "-1 if k % 2 else 1",
+        "1",
+        (NO_TORSION, DENSE),
+    ),
+    "homology: facet sign without parity": (
+        "homology.py",
+        "-1 if k % 2 else 1",
+        "-1 if k else 1",
+        (NO_TORSION, DENSE),
+    ),
+    "homology: rows enter the elimination unreduced mod p": (
+        "homology.py",
+        "row = {c: x % char for c, x in row if x % char} if char else dict(row)",
+        "row = dict(row)",
+        (TORSION,),
+    ),
+    "homology: reduced rows not taken mod p": (
+        "homology.py",
+        "                if char:\n                    x %= char\n",
+        "",
+        (TORSION,),
+    ),
+    "homology: a row whose lead is taken becomes a pivot unreduced": (
+        "homology.py",
+        "            if pivot is None:\n                pivots[lead] = row\n",
+        "            if True:\n                pivots[lead] = row\n",
+        (DENSE, TORSION),
     ),
     "homology: interning keyed on bits & 0xFF": (
         "homology.py",
@@ -375,9 +402,15 @@ MUTANTS = {
     ),
     "text format: the generator memo never starts over": (
         "parsing.py",
-        "            if len(memo) >= _MEMO_SIZE:\n                memo.clear()\n",
+        "                if len(memo) >= _MEMO_SIZE:\n                    memo.clear()\n",
         "",
         ("tests/test_parsing.py::test_neither_memo_grows_past_its_bound",),
+    ),
+    "text format: long generator texts memoized": (
+        "parsing.py",
+        "            if len(key) <= _KEY_SIZE:\n",
+        "            if True:\n",
+        ("tests/test_parsing.py::test_the_memo_keeps_no_generator_text_longer_than_its_bound",),
     ),
     "text format: the writer's memo unbounded": (
         "parsing.py",
@@ -390,6 +423,12 @@ MUTANTS = {
         '"parse_ideal": "parsing",',
         '"parse_ideal": "monomials",',
         ("tests/test_source.py::test_star_import_yields_every_public_name",),
+    ),
+    "cli: json imported at start-up": (
+        "cli.py",
+        "import functools\nimport os\n",
+        "import functools\nimport json  # noqa: F401\nimport os\n",
+        (CLI_LOADS,),
     ),
     "cli: twins import dropped": (
         "cli.py",

@@ -8,7 +8,9 @@ word for word, on exponent tuples, so the tests can check the fast ones
 against them.  multigraded_oracle reads its ranks through the public
 reduced_homology_rank, not the oracle's own profile path, and
 k_polynomial and scarf_rows read the Hilbert series numerator and the
-rows of a generic ideal with no lattice walk at all.
+rows of a generic ideal with no lattice walk at all.  homology_profile
+is the oracle's kernel as a dense elimination: it builds each signed
+boundary matrix from the face set alone, with no table of the package.
 """
 
 from itertools import combinations
@@ -161,3 +163,53 @@ def scarf_rows(gens):
             counts[m] = counts.get(m, 0) + 1
             sizes[m] = k
     return {m: tuple(int(i == sizes[m]) for i in range(5)) for m, n in counts.items() if n == 1}
+
+
+def matrix_rank(rows, char):
+    """Rank of a small integer matrix over Q (char 0) or F_char.
+
+    Plain Gaussian elimination with cross-multiplication instead of
+    division, so every intermediate value is an exact integer; entries
+    are reduced mod char when working over a prime field.
+    """
+    rows = [list(r) for r in rows]
+    if char:
+        rows = [[x % char for x in r] for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    rank = 0
+    for c in range(n):
+        pivot = next((i for i in range(rank, m) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][c]
+        for i in range(rank + 1, m):
+            f = rows[i][c]
+            if f:
+                merged = [lead * a - f * b for a, b in zip(rows[i], rows[rank])]
+                rows[i] = [x % char for x in merged] if char else merged
+        rank += 1
+    return rank
+
+
+def boundary_matrix(faces, d):
+    """Signed incidence matrix of the boundary map from d-faces to (d-1)-faces."""
+    domain = sorted(f for f in faces if f.bit_count() == d + 1)
+    codomain = sorted(f for f in faces if f.bit_count() == d)
+    index = {f: i for i, f in enumerate(codomain)}
+    matrix = [[0] * len(domain) for _ in codomain]
+    for j, f in enumerate(domain):
+        vertices = [i for i in range(4) if f >> i & 1]
+        for k, v in enumerate(vertices):
+            matrix[index[f & ~(1 << v)]][j] = -1 if k % 2 else 1
+    return matrix
+
+
+def homology_profile(face_bits, char):
+    """Reduced homology ranks in dimensions -1..3 of a face set, from the
+    dense boundary matrices over Q (char 0) or F_char."""
+    faces = [f for f in range(16) if face_bits >> f & 1]
+    counts = [sum(f.bit_count() == n for f in faces) for n in range(5)]
+    ranks = [0, *(matrix_rank(boundary_matrix(faces, d), char) for d in range(4)), 0]
+    return tuple(counts[n] - ranks[n] - ranks[n + 1] for n in range(5))

@@ -1,18 +1,19 @@
 import pytest
 from conftest import ideal_of, ideals, lcm_lattice, model_or_staircase, run_fresh_interpreter, staircase
 from hypothesis import given, strategies as st
-from reference import multigraded_oracle
+from reference import homology_profile, multigraded_oracle
 
 from betti4 import homology
 from betti4.errors import GeneratorCapExceeded, InvariantViolation
 from betti4.homology import (
     ALL_FIELDS,
+    FACETS,
     RATIONALS,
     FieldSpec,
     SimplicialComplex,
-    _boundary_matrix,
     _homology_profile,
     _interned_complex,
+    _rank,
     koszul_complex,
     oracle_betti,
     reduced_homology_rank,
@@ -137,25 +138,58 @@ def test_smith_diagonal_reference():
     assert sorted(smith_diagonal([[1, 1], [1, 1], [0, 2]])) == [1, 2]
 
 
+def downward_closed_face_sets():
+    """The 168 face sets of complexes on four vertices, found by brute force."""
+    return [bits for bits in range(1 << 16)
+            if is_downward_closed({t for t in range(16) if bits >> t & 1})]
+
+
 def test_homology_on_four_vertices_has_no_torsion():
-    # over Z: every boundary matrix of every complex on four vertices has
-    # elementary divisors 1 only, so H_* is free and its ranks are the
-    # homology over any field
-    complexes = [bits for bits in range(1 << 16)
-                 if is_downward_closed({t for t in range(16) if bits >> t & 1})]
+    # over Z: every boundary matrix of every complex on four vertices, with
+    # the signs of the oracle's facet table, has elementary divisors 1
+    # only, so H_* is free and its ranks are the homology over any field
+    complexes = downward_closed_face_sets()
     assert len(complexes) == 168
     for bits in complexes:
         faces = [t for t in range(16) if bits >> t & 1]
         counts = [sum(t.bit_count() == k for t in faces) for k in range(5)]
         ranks = [0]
         for d in range(4):
-            diagonal = smith_diagonal(_boundary_matrix(faces, d))
+            domain = [t for t in faces if t.bit_count() == d + 1]
+            codomain = [t for t in faces if t.bit_count() == d]
+            matrix = [[dict(FACETS[t]).get(s, 0) for s in codomain] for t in domain]
+            diagonal = smith_diagonal(matrix)
             assert set(diagonal) <= {1}, (hex(bits), d, diagonal)
             ranks.append(len(diagonal))
         ranks.append(0)
         integral = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(5))
         for characteristic in (0, 2, 3, 5):
             assert _homology_profile(bits, characteristic) == integral
+
+
+def test_facet_table_profiles_match_the_dense_elimination():
+    # every face set in every field, against boundary matrices built from
+    # the face set alone and eliminated densely
+    for bits in downward_closed_face_sets():
+        for characteristic in (0, 2, 3, 5):
+            assert _homology_profile(bits, characteristic) == homology_profile(bits, characteristic)
+
+
+# the six-vertex real projective plane: H_2 is 0 over Q, F_3 and F_5 and
+# F_2 over F_2, so its boundary map on triangles loses rank mod 2 only
+RP2_TRIANGLES = ((1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 3, 6), (1, 4, 5),
+                 (2, 3, 4), (2, 3, 5), (2, 5, 6), (3, 4, 6), (4, 5, 6))
+
+
+def test_rank_sees_torsion_that_four_vertices_never_have():
+    rows = [(((b, c), 1), ((a, c), -1), ((a, b), 1)) for a, b, c in RP2_TRIANGLES]
+    assert [_rank(rows, characteristic) for characteristic in (0, 2, 3, 5)] == [10, 9, 10, 10]
+    # entries divisible by the characteristic vanish in it
+    diagonal = [((0, 2),), ((1, 3),), ((2, 5),), ((3, 30),)]
+    assert [_rank(diagonal, characteristic) for characteristic in (0, 2, 3, 5)] == [4, 2, 2, 2]
+    # a row combination that vanishes only mod the characteristic
+    pair = [((0, 1), (1, 1)), ((0, 1), (1, 4))]
+    assert [_rank(pair, characteristic) for characteristic in (0, 2, 3, 5)] == [2, 2, 1, 2]
 
 
 def test_koszul_complex_membership():

@@ -360,6 +360,31 @@ def test_text_after_a_blanked_comment_hits_the_memo():
         "x3, # x1\n x2^3*x4, x2^3")
 
 
+def test_the_memo_keeps_no_generator_text_longer_than_its_bound():
+    # a padded generator parses as the bare one but is scanned every
+    # time and never kept, so long texts cannot fill the memo; an error
+    # after it keeps its position in the padded text
+    bound = parsing._KEY_SIZE
+    pad = " " * 10_000
+    parsing._GENERATORS.clear()
+    for _ in range(2):
+        assert parse_ideal(f"x1^2*x2,{pad}x3{pad}, x4") == parse_ideal("x1^2*x2, x3, x4")
+    assert max(map(len, parsing._GENERATORS)) <= bound
+    assert {"x1^2*x2", " x4"} <= parsing._GENERATORS.keys()
+    # the bound itself is kept, one more character is not
+    parse_ideal(" " * (bound - 2) + "x1," + " " * (bound - 1) + "x2")
+    assert " " * (bound - 2) + "x1" in parsing._GENERATORS
+    assert " " * (bound - 1) + "x2" not in parsing._GENERATORS
+    text = f"x1^2,{pad}x2{pad}, x5"
+    for _ in range(2):
+        with pytest.raises(VariableOutOfRange) as info:
+            parse_ideal(text)
+        assert info.value.position == len(text) - 2
+    assert _outcome(parse_ideal, text, DEFAULT_EXP_CAP) == _outcome(
+        _parse_ideal_by_chars, text, DEFAULT_EXP_CAP)
+    assert max(map(len, parsing._GENERATORS)) <= bound
+
+
 def test_neither_memo_grows_past_its_bound():
     bound = parsing._MEMO_SIZE
     texts = [f"x1^{a}*x2^{b}*x3^{c}" for a in range(2, 65) for b in range(2, 65) for c in (2, 3, 4, 5)]

@@ -72,15 +72,16 @@ ENTRY_POINTS = {
     "betti4.homology": ((), _package("errors", "homology", "monomials", "multidegrees", "tables",
                                      "values"), ()),
     # the betti path loads neither the oracle nor random (verify, atlas
-    # --check and experiment import them when they run), nor csv, which
-    # no subcommand uses, and twins only because the bench traces
-    # build_bundle; no dataclasses or inspect, which values.Value
+    # --check and experiment import them when they run), nor json (betti
+    # and atlas import it when they run, so verify never loads it), nor
+    # csv, which no subcommand uses, and twins only because the bench
+    # traces build_bundle; no dataclasses or inspect, which values.Value
     # replaces, and no typing; checked under -S because site imports
     # typing and random on some installations
     "betti4.cli": (("-S",), _package("atlas", "cli", "engine", "errors", "monomials",
                                      "multidegrees", "parsing", "squarefree", "tables", "twins",
                                      "values"),
-                   ("csv", "dataclasses", "inspect", "random", "typing")),
+                   ("csv", "dataclasses", "inspect", "json", "random", "typing")),
 }
 
 
