@@ -35,14 +35,10 @@ _LAZY = {
     "SimplicialComplex": "homology",
     "koszul_complex": "homology",
     "oracle_betti": "homology",
-    "reduced_homology_rank": "homology",
     "NUM_VARS": "monomials",
     "UNIT": "monomials",
     "MonomialIdeal": "monomials",
-    "divides": "monomials",
-    "lcm": "monomials",
     "minimalize": "monomials",
-    "support_mask": "monomials",
     "DEFAULT_GEN_CAP": "multidegrees",
     "enumerate_multidegrees": "multidegrees",
     "DEFAULT_EXP_CAP": "parsing",

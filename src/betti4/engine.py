@@ -13,7 +13,7 @@ independent beta4 route and the runtime cross-check of the table's
 beta4 column.
 """
 
-from .atlas import ENTRIES, LABELED_CLASSES
+from .atlas import LABELED_CLASSES, lookup_multigraded
 from .errors import InternalInconsistency
 from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, check_cap, enumerate_multidegrees, generator_columns
@@ -154,27 +154,27 @@ def upward_closure(masks):
 HOLLOW = upward_closure((1, 2, 4, 8))
 
 
-def _build_key_table(classes, entries):
+def _build_key_table(classes):
     """Map each upward-closed family of masks to (support, row).
 
     classes maps labeled squarefree antichains (sorted mask tuples) to
-    class ids and entries maps class ids to atlas entries.  row is
-    the Betti row beta0..beta4 at a multidegree m whose support is the
-    family's support.  beta2 and beta3 are the shape weights and must
-    equal the row of the atlas class; beta0 = 1 iff the support is empty
-    (m = 1), beta1 = 1 iff the antichain is one mask (m is a generator)
-    and beta4 = 1 iff the family is the hollow one.  The empty family (no
+    class ids.  row is the Betti row beta0..beta4 at a multidegree m
+    whose support is the family's support.  beta2 and beta3 are the
+    shape weights and must equal the atlas row, looked up at the
+    family's support; beta0 = 1 iff the support is empty (m = 1),
+    beta1 = 1 iff the antichain is one mask (m is a generator) and
+    beta4 = 1 iff the family is the hollow one.  The empty family (no
     generator divides m = 1) has the row of the zero ideal.
     """
     table = {0: (0, (1, 0, 0, 0, 0))}
     for gens, cid in classes.items():
         sq = SquarefreeIdeal(gens)
         weights = _shape_weights(sq)
-        entry = entries[cid]
-        if weights != (entry.beta2, entry.beta3):
+        tabulated = lookup_multigraded(sq, sq.support)
+        if weights != tabulated:
             raise InternalInconsistency(
                 f"shape weights give {weights} but atlas class {cid} gives "
-                f"({entry.beta2}, {entry.beta3}) for {[mask_string(g) for g in gens]}"
+                f"{tabulated} for {[mask_string(g) for g in gens]}"
             )
         up = upward_closure(gens)
         table[up] = (sq.support, (int(not sq.support), int(len(gens) == 1), *weights,
@@ -184,7 +184,7 @@ def _build_key_table(classes, entries):
     return table
 
 
-KEY_TABLE = _build_key_table(LABELED_CLASSES, ENTRIES)
+KEY_TABLE = _build_key_table(LABELED_CLASSES)
 
 # The nonzero rows of KEY_TABLE keyed on up | support << 16, so that one
 # lookup also checks that the family's support fills the support of m.

@@ -171,13 +171,6 @@ def _homology_profile(face_bits, char):
     return profile
 
 
-def reduced_homology_rank(complex_, dim, field=RATIONALS):
-    """Dimension of reduced homology of the complex over the field."""
-    if not -1 <= dim <= 3:
-        raise ValueError(f"dimension {dim} is outside -1..3")
-    return _homology_profile(complex_.face_bits, field.characteristic)[dim + 1]
-
-
 # the most recent oracle pass: (walk, the face set at each of its points,
 # the distinct face sets, their profiles, want_multigraded, table)
 _last = None

@@ -2,14 +2,15 @@
 
 A monomial is a plain 4-tuple of non-negative exponents for x1..x4.
 Plain tuples keep the subset walks in the rest of the package cheap.
-This module holds what a run computes with: lcm, divisibility, support
-masks and minimal generating sets.  The package computes the last in
-one place: a MonomialIdeal stores minimalize() of whatever generators
-it is given.  Dominance, semidominance and strong divisibility are
-computed where the formulas read them, on masks in
+This module holds the ideal type and its minimal generating set, which
+the package computes in one place: a MonomialIdeal stores minimalize()
+of whatever generators it is given.  The lcm is written out where the
+lattice walk takes it, in multidegrees, and divisibility and support
+masks where the twin reduction reads them, in twins; dominance,
+semidominance and strong divisibility are computed on masks in
 squarefree.shape_descriptor and on bit columns in
-engine.dominant_quadruples; their definition-level versions on exponent
-tuples are test references.
+engine.dominant_quadruples.  Their definition-level versions on
+exponent tuples are test references.
 """
 
 from .errors import InvariantViolation
@@ -19,30 +20,6 @@ NUM_VARS = 4
 
 # the constant monomial x^0
 UNIT = (0, 0, 0, 0)
-
-
-def lcm(a, b):
-    """Least common multiple: componentwise max of exponent vectors."""
-    return (
-        a[0] if a[0] > b[0] else b[0],
-        a[1] if a[1] > b[1] else b[1],
-        a[2] if a[2] > b[2] else b[2],
-        a[3] if a[3] > b[3] else b[3],
-    )
-
-
-def divides(a, b):
-    """True iff a divides b, i.e. a_i <= b_i for every variable."""
-    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2] and a[3] <= b[3]
-
-
-def support_mask(m):
-    """4-bit mask with bit i set iff x_{i+1} has positive exponent."""
-    mask = 0
-    for i in range(NUM_VARS):
-        if m[i] > 0:
-            mask |= 1 << i
-    return mask
 
 
 class MonomialIdeal(Value):
@@ -74,16 +51,6 @@ class MonomialIdeal(Value):
     @property
     def is_zero(self):
         return not self.gens
-
-    @property
-    def is_unit(self):
-        return self.gens == (UNIT,)
-
-    def __len__(self):
-        return len(self.gens)
-
-    def __iter__(self):
-        return iter(self.gens)
 
 
 def minimalize(gens):

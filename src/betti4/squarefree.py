@@ -40,16 +40,6 @@ class SquarefreeIdeal(Value):
     def is_zero(self):
         return not self.gens
 
-    @property
-    def is_unit(self):
-        return self.gens == (0,)
-
-    def __len__(self):
-        return len(self.gens)
-
-    def __iter__(self):
-        return iter(self.gens)
-
 
 def mask_monomial(mask):
     """The 0/1 exponent vector of a mask, for feeding masks back into monomial code."""

@@ -69,7 +69,3 @@ class BettiTable(Value):
         """Alternating sum beta0 - beta1 + beta2 - beta3 + beta4."""
         b = self.betti
         return b[0] - b[1] + b[2] - b[3] + b[4]
-
-    @property
-    def total(self):
-        return sum(self.betti)

@@ -11,7 +11,7 @@ image at the support of m.
 
 from collections import namedtuple
 
-from .monomials import MonomialIdeal, divides, support_mask
+from .monomials import MonomialIdeal
 from .squarefree import SquarefreeIdeal
 
 
@@ -24,6 +24,16 @@ restriction.gens; divisibility statements among restricted
 generators transfer to these images index by index."""
 
 
+def _divides(a, b):
+    """True iff a divides b, i.e. a_i <= b_i for every variable."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _support_mask(m):
+    """4-bit mask with bit i set iff x_{i+1} has positive exponent."""
+    return sum(1 << i for i, x in enumerate(m) if x)
+
+
 def build_bundle(ideal, m):
     """Run the whole reduction pipeline at one multidegree.
 
@@ -33,8 +43,8 @@ def build_bundle(ideal, m):
     images is inclusion of their masks: the twin's minimal generators
     read as distinct, minimal masks, which SquarefreeIdeal checks.
     """
-    restriction = MonomialIdeal(g for g in ideal.gens if divides(g, m))
+    restriction = MonomialIdeal(g for g in ideal.gens if _divides(g, m))
     images = tuple(tuple(a if b == a else 0 for a, b in zip(m, g)) for g in restriction.gens)
     twin = MonomialIdeal(images)
-    squarefree = SquarefreeIdeal(tuple(sorted(support_mask(g) for g in twin.gens)))
-    return TwinBundle(m, restriction, images, twin, squarefree, support_mask(m))
+    squarefree = SquarefreeIdeal(tuple(sorted(_support_mask(g) for g in twin.gens)))
+    return TwinBundle(m, restriction, images, twin, squarefree, _support_mask(m))

@@ -11,7 +11,7 @@ from hypothesis import settings
 
 import betti4
 from betti4.cli import sample_ideal
-from betti4.monomials import UNIT, MonomialIdeal, lcm
+from betti4.monomials import MonomialIdeal
 from betti4.parsing import DEFAULT_EXP_CAP
 
 settings.register_profile("suite", deadline=None)
@@ -76,15 +76,6 @@ def model_or_staircase(max_q=28):
         model_ideals(),
         st.builds(staircase, st.integers(1, max_q), st.integers(0, 2**32)),
     )
-
-
-def lcm_lattice(ideal):
-    """Reference: every distinct lcm of a subset of the generators, the
-    empty subset's 1 included, lex-sorted; cones are not left out."""
-    points = {UNIT}
-    for g in ideal.gens:
-        points |= {lcm(p, g) for p in points}
-    return tuple(sorted(points))
 
 
 def is_cone(ideal, m):

@@ -204,6 +204,20 @@ MUTANTS = {
         ("tests/test_twins.py::test_twin_keeps_attained_exponents_and_minimalizes",
          "tests/test_twins.py::test_squarefree_twin_reads_attained_variables"),
     ),
+    "twins: divisibility check strict": (
+        "twins.py",
+        "x <= y for x, y in zip(a, b)",
+        "x < y for x, y in zip(a, b)",
+        ("tests/test_twins.py::test_restriction_keeps_divisors_only",
+         "tests/test_twins.py::test_restriction_lcm_recovers_genuine_multidegrees"),
+    ),
+    "atlas: lookup returns (beta3, beta2)": (
+        "atlas.py",
+        "return (entry.beta2, entry.beta3)",
+        "return (entry.beta3, entry.beta2)",
+        ("tests/test_atlas.py::test_index_maps_every_squarefree_ideal_to_its_class_id",
+         "tests/test_atlas.py::test_lookup_guard"),
+    ),
     "atlas: beta2 and beta3 fields swapped in AtlasEntry": (
         "atlas.py",
         '"beta2", "beta3"))',

@@ -1,22 +1,41 @@
 """Definition-level references for the paper's notions, for the tests.
 
-The package computes dominance, semidominance and strong divisibility
-only where its formulas read them: on masks in
-squarefree.shape_descriptor and on bit columns in
+The package computes lcm, divisibility, support masks, dominance,
+semidominance and strong divisibility only where its walks and formulas
+read them: written out in multidegrees' walk and twins.build_bundle, on
+masks in squarefree.shape_descriptor and on bit columns in
 engine.dominant_quadruples.  The versions here follow the definitions
 word for word, on exponent tuples, so the tests can check the fast ones
-against them.  multigraded_oracle reads its ranks through the public
-reduced_homology_rank, not the oracle's own profile path, and
-k_polynomial and scarf_rows read the Hilbert series numerator and the
-rows of a generic ideal with no lattice walk at all.  homology_profile
-is the oracle's kernel as a dense elimination: it builds each signed
-boundary matrix from the face set alone, with no table of the package.
+against them.  homology_profile is the oracle's kernel as a dense
+elimination: it builds each signed boundary matrix from the face set
+alone, with no table of the package.  multigraded_oracle reads its
+ranks through reduced_homology_rank, which reads homology_profile, so
+it shares no code with the oracle's own profile path.  k_polynomial
+and scarf_rows read the Hilbert series numerator and the rows of a
+generic ideal with no lattice walk at all, and lcm_lattice_rows reads
+every row off the lcm lattice with no Koszul complex and no walk.
 """
 
+from functools import cache
 from itertools import combinations
 
-from betti4.homology import RATIONALS, koszul_complex, reduced_homology_rank
-from betti4.monomials import NUM_VARS, UNIT, MonomialIdeal, lcm, minimalize
+from betti4.homology import RATIONALS, koszul_complex
+from betti4.monomials import NUM_VARS, UNIT, MonomialIdeal, minimalize
+
+
+def lcm(a, b):
+    """Least common multiple: componentwise max of exponent vectors."""
+    return tuple(map(max, a, b))
+
+
+def divides(a, b):
+    """True iff a divides b, i.e. a_i <= b_i for every variable."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def support_mask(m):
+    """4-bit mask with bit i set iff x_{i+1} has positive exponent."""
+    return sum(1 << i for i in range(NUM_VARS) if m[i])
 
 
 def lcm_all(monomials):
@@ -25,6 +44,15 @@ def lcm_all(monomials):
     for m in monomials:
         out = lcm(out, m)
     return out
+
+
+def lcm_lattice(ideal):
+    """Every distinct lcm of a subset of the generators, the empty
+    subset's 1 included, lex-sorted; cones are not left out."""
+    points = {UNIT}
+    for g in ideal.gens:
+        points |= {lcm(p, g) for p in points}
+    return tuple(sorted(points))
 
 
 def strongly_divides(a, b):
@@ -91,6 +119,14 @@ def multigraded_oracle(ideal, b, field=RATIONALS):
     complex_ = koszul_complex(ideal, b)
     head = 1 if b == UNIT else 0
     return (head, *(reduced_homology_rank(complex_, dim, field) for dim in range(-1, 3)))
+
+
+def reduced_homology_rank(complex_, dim, field=RATIONALS):
+    """Dimension of reduced homology of the complex over the field, read
+    from the dense elimination homology_profile."""
+    if not -1 <= dim <= 3:
+        raise ValueError(f"dimension {dim} is outside -1..3")
+    return homology_profile(complex_.face_bits, field.characteristic)[dim + 1]
 
 
 def _coprime(gens):
@@ -165,6 +201,47 @@ def scarf_rows(gens):
     return {m: tuple(int(i == sizes[m]) for i in range(5)) for m, n in counts.items() if n == 1}
 
 
+def lcm_lattice_rows(gens, char):
+    """Multigraded Betti rows of S/(gens) over Q (char 0) or F_char, read
+    off the lcm lattice of a proper nonzero ideal.
+
+    Gasharov, Peeva and Welker (1999): for m != 1 in the lcm lattice L,
+    beta_{i,m} is the reduced homology in dimension i - 2 of the order
+    complex of the open interval (1, m) of L, whose faces are the
+    chains of points strictly between 1 and m.  A generator has the
+    empty interval, whose only face is the empty chain, so its row is
+    (0, 1, 0, 0, 0).  Four variables give no beta_i past i = 4, so the
+    chains of at most four points, dimension 3, are all that is built.
+    The unit has the row (1, 0, 0, 0, 0), and only nonzero rows are
+    kept, as both routes keep them.
+    """
+    points = lcm_lattice(MonomialIdeal(gens))
+    rows = {UNIT: (1, 0, 0, 0, 0)}
+    for m in points[1:]:
+        inside = [p for p in points[1:] if p != m and divides(p, m)]
+        # chains[k] holds the chains of k points, the faces of dimension
+        # k - 1, each in lex order, which divisibility refines
+        chains = [[()]]
+        for _ in range(4):
+            chains.append([c + (p,) for c in chains[-1] for p in inside
+                           if not c or c[-1] != p and divides(c[-1], p)])
+        # ranks[k] is the rank of the boundary from the chains of k points
+        ranks = [0]
+        for low, high in zip(chains, chains[1:]):
+            index = {c: i for i, c in enumerate(low)}
+            boundary = []
+            for c in high:
+                row = [0] * len(low)
+                for k in range(len(c)):
+                    row[index[c[:k] + c[k + 1:]]] = -1 if k % 2 else 1
+                boundary.append(row)
+            ranks.append(matrix_rank(boundary, char))
+        row = (0, *(len(chains[d]) - ranks[d] - ranks[d + 1] for d in range(4)))
+        if any(row):
+            rows[m] = row
+    return rows
+
+
 def matrix_rank(rows, char):
     """Rank of a small integer matrix over Q (char 0) or F_char.
 
@@ -206,6 +283,7 @@ def boundary_matrix(faces, d):
     return matrix
 
 
+@cache
 def homology_profile(face_bits, char):
     """Reduced homology ranks in dimensions -1..3 of a face set, from the
     dense boundary matrices over Q (char 0) or F_char."""

@@ -1,7 +1,7 @@
 import pytest
-from conftest import ideal_of, ideals, lcm_lattice, model_or_staircase, run_fresh_interpreter, staircase
+from conftest import ideal_of, ideals, model_or_staircase, run_fresh_interpreter, staircase
 from hypothesis import given, strategies as st
-from reference import homology_profile, multigraded_oracle
+from reference import divides, homology_profile, lcm_lattice, multigraded_oracle, reduced_homology_rank
 
 from betti4 import homology
 from betti4.errors import GeneratorCapExceeded, InvariantViolation
@@ -16,9 +16,8 @@ from betti4.homology import (
     _rank,
     koszul_complex,
     oracle_betti,
-    reduced_homology_rank,
 )
-from betti4.monomials import UNIT, MonomialIdeal, divides
+from betti4.monomials import UNIT, MonomialIdeal
 from betti4.multidegrees import enumerate_multidegrees
 from betti4.tables import BettiTable
 

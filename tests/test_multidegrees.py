@@ -8,13 +8,12 @@ from conftest import (
     ideal_of,
     ideals,
     is_cone,
-    lcm_lattice,
     model_ideals,
     model_or_staircase,
     staircase,
 )
 from hypothesis import example, given, settings
-from reference import k_polynomial, lcm_all, scarf_rows
+from reference import k_polynomial, lcm_all, lcm_lattice, lcm_lattice_rows, scarf_rows
 
 from betti4 import engine, multidegrees
 from betti4.cli import main
@@ -315,6 +314,20 @@ def test_generic_ideals_have_their_scarf_rows(ideal):
     formula = full_table(ideal, want_multigraded=True).multigraded
     assert formula == oracle_betti(ideal, want_multigraded=True).multigraded == expected
     assert all(sorted(row) == [0, 0, 0, 0, 1] for row in formula.values())
+
+
+@settings(max_examples=100)
+@given(model_ideals().filter(lambda ideal: len(ideal.gens) <= 6))
+def test_model_ideals_have_their_lcm_lattice_rows(ideal):
+    # the lattice rows come from the order complexes of the whole lcm
+    # lattice, with no walk and no Koszul complex, so a point that both
+    # routes drop (they share the pairwise walk below COORDINATE_FROM
+    # generators) shows here on any ideal, generic or not; past six
+    # generators the order complexes grow too large to eliminate densely
+    formula = full_table(ideal, want_multigraded=True).multigraded
+    for field in ALL_FIELDS:
+        oracle = oracle_betti(ideal, field, want_multigraded=True).multigraded
+        assert formula == oracle == lcm_lattice_rows(ideal.gens, field.characteristic), field
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from betti4 import parsing
 from betti4.errors import ExponentCapExceeded, ParseError, VariableOutOfRange
-from betti4.monomials import NUM_VARS, MonomialIdeal
+from betti4.monomials import NUM_VARS, UNIT, MonomialIdeal
 from betti4.parsing import DEFAULT_EXP_CAP, format_ideal, format_monomial, parse_ideal
 
 _DIGITS = frozenset("0123456789")
@@ -135,8 +135,8 @@ def test_letter_aliases():
 
 
 def test_unit_and_zero():
-    assert parse_ideal("1").is_unit
-    assert parse_ideal("x1, 1").is_unit
+    assert parse_ideal("1").gens == (UNIT,)
+    assert parse_ideal("x1, 1").gens == (UNIT,)
     assert parse_ideal("").is_zero
     assert parse_ideal("   \n # nothing here\n").is_zero
     assert parse_ideal("1*x2").gens == ((0, 1, 0, 0),)

@@ -166,7 +166,8 @@ def test_each_derived_fact_has_one_owner():
     # sum, and beta4's cross-check holds the quadruples' lcms alone;
     # dominance, semidominance and strong divisibility are computed on
     # masks and bit columns only, their definitions on exponent tuples
-    # (and the oracle's per-point row) are test references, a twin
+    # (and the oracle's per-point row, lcm, divisibility, support masks
+    # and the dense homology rank) are test references, a twin
     # ideal's masks are read as they are, with no second minimalization,
     # the twin reduction is build_bundle alone, with no public steps or
     # guards against input that only a hand-built twin could give, an
@@ -191,7 +192,8 @@ def test_each_derived_fact_has_one_owner():
                          "permute_monomial", "permute_ideal", "multigraded_oracle",
                          "minimalize_masks", "restrict", "squarefree_twin", "_twin_images",
                          "IllFormedTwin", "RestrictionViolation", "NotInAtlas", "canonicalize",
-                         "CanonicalForm", "_PERMS", "_face_sets", "_last_table"):
+                         "CanonicalForm", "_PERMS", "_face_sets", "_last_table", "lcm", "divides",
+                         "support_mask", "reduced_homology_rank"):
                 found.append(f"{name}:{line}: {ident}")
             elif ident == "projective_dimension" and name != "tables.py":
                 found.append(f"{name}:{line}: {ident} outside tables.py")
@@ -204,36 +206,46 @@ def _uses(node):
 
 
 def test_every_top_level_name_is_reachable():
-    # a top-level function, class or assigned name must be public, the
-    # console entry point, a hook the interpreter calls (a dunder), or
-    # used by code that is: module-level code (right-hand sides and
-    # bare statements) runs at import and roots what it uses; imports
-    # are not uses. Names resolve by spelling, across modules.
+    # a top-level function, class or assigned name, and a method of a
+    # class of the package, must be used by code that runs: the console
+    # entry point, the oracle's entry oracle_betti and every function the
+    # bench traces are the roots, with the hooks the interpreter calls
+    # (dunders) and module-level code (right-hand sides, bare statements
+    # and a class's own body), which runs at import; __all__ roots
+    # nothing and imports are not uses. Names resolve by spelling,
+    # across modules and classes.
     bodies = {}
-    used = set(betti4.__all__) | {"entry"}
+    used = {"entry", "oracle_betti", *(attr for _, _, attr in _bench_targets())}
     for name, tree in _modules():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                bodies[name, node.name] = node
+            if isinstance(node, ast.FunctionDef):
+                bodies[f"{name}:{node.name}"] = node.name, _uses(node)
+            elif isinstance(node, ast.ClassDef):
+                own = [*node.bases, *node.keywords, *node.decorator_list]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        bodies[f"{name}:{node.name}.{item.name}"] = item.name, _uses(item)
+                    else:
+                        own.append(item)
+                bodies[f"{name}:{node.name}"] = node.name, set().union(*map(_uses, own))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                     for ident in _uses(target):
-                        bodies[name, ident] = None
+                        bodies[f"{name}:{ident}"] = ident, set()
                 if node.value is not None:
                     used |= _uses(node.value)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 used |= _uses(node)
-    used |= {ident for _, ident in bodies if ident.startswith("__") and ident.endswith("__")}
+    used |= {ident for ident, _ in bodies.values() if ident.startswith("__") and ident.endswith("__")}
     done = set()
     while True:
-        live = [key for key in bodies if key[1] in used and key not in done]
+        live = [key for key, (ident, _) in bodies.items() if ident in used and key not in done]
         if not live:
             break
         for key in live:
             done.add(key)
-            if bodies[key] is not None:
-                used |= _uses(bodies[key])
-    assert sorted(f"{name}:{ident}" for name, ident in bodies if ident not in used) == []
+            used |= bodies[key][1]
+    assert sorted(key for key, (ident, _) in bodies.items() if ident not in used) == []
 
 
 def test_star_import_yields_every_public_name():

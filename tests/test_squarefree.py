@@ -1,10 +1,9 @@
 import pytest
 from conftest import permutations_of_4
 from hypothesis import given, strategies as st
-from reference import permute_monomial
+from reference import permute_monomial, support_mask
 
 from betti4.errors import InvariantViolation
-from betti4.monomials import support_mask
 from betti4.squarefree import (
     SquarefreeIdeal,
     dominant_mask_members,
@@ -55,7 +54,7 @@ def test_antichain_enforced():
 def test_support():
     assert SquarefreeIdeal((0b0011, 0b0101)).support == 0b0111
     assert SquarefreeIdeal(()).support == 0
-    assert SquarefreeIdeal((0,)).is_unit
+    assert SquarefreeIdeal((0,)).gens == (0,)
 
 
 def test_shape_descriptor():

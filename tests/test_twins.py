@@ -1,10 +1,10 @@
 import pytest
-from conftest import ideal_of, ideals, lcm_lattice
+from conftest import ideal_of, ideals
 from hypothesis import given, strategies as st
-from reference import lcm_all
+from reference import divides, lcm, lcm_all, lcm_lattice, reduced_homology_rank, support_mask
 
-from betti4.homology import koszul_complex, reduced_homology_rank
-from betti4.monomials import MonomialIdeal, divides, lcm, support_mask
+from betti4.homology import koszul_complex
+from betti4.monomials import MonomialIdeal
 from betti4.squarefree import mask_monomial
 from betti4.twins import build_bundle
 
