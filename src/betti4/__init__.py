@@ -32,7 +32,6 @@ _LAZY = {
     "ALL_FIELDS": "homology",
     "FieldSpec": "homology",
     "RATIONALS": "homology",
-    "SimplicialComplex": "homology",
     "koszul_complex": "homology",
     "oracle_betti": "homology",
     "NUM_VARS": "monomials",

@@ -43,13 +43,14 @@ def _read_inputs(args):
         lines = args.ideals
     else:
         try:
-            if args.file:
+            if args.file is not None:
                 with open(args.file, encoding="utf-8") as fh:
                     text = fh.read()
             else:
                 text = sys.stdin.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise InputUnreadable(f"cannot read {args.file or 'standard input'}: {exc}") from exc
+            source = "standard input" if args.file is None else args.file or "''"
+            raise InputUnreadable(f"cannot read {source}: {exc}") from exc
         lines = text.splitlines()
     return [(number, line) for number, line in enumerate(lines, start=1)
             if line.split("#", 1)[0].strip()]

@@ -1,13 +1,14 @@
 """Exact ground truth: reduced simplicial homology of Koszul subcomplexes.
 
 For a degree b, the faces are the vertex subsets t of {1..4} with
-x^(b-t) still inside the ideal; the reduced homology of that complex in
-dimension i-2 is the multigraded Betti number in homological degree i.
-The boundary maps are read from one table, FACETS, of the signed facets
-of every face of the 3-simplex, and each face set is eliminated once per
-field.  Everything here is exact integer or mod-p arithmetic; no formula
-from the rest of the package is consulted, which is what makes this
-module usable as an oracle for all of them.
+x^(b-t) still inside the ideal, held as a 16-bit face set; the reduced
+homology of that complex in dimension i-2 is the multigraded Betti
+number in homological degree i.  The boundary maps are read from one
+table, FACETS, of the signed facets of every face of the 3-simplex, and
+each face set is checked to be a complex and eliminated once per field.
+Everything here is exact integer or mod-p arithmetic; no formula from
+the rest of the package is consulted, which is what makes this module
+usable as an oracle for all of them.
 """
 
 from functools import lru_cache
@@ -47,57 +48,24 @@ WITH = tuple(sum(1 << t for t in range(16) if t >> i & 1) for i in range(4))
 MISSES = tuple(sum(1 << t for t in range(16) if not t & a) for a in range(16))
 
 
-class SimplicialComplex(Value):
-    """Downward-closed family of subsets of {1..4}, as a 16-bit face set.
-
-    Bit t of face_bits is set iff the vertex set t (a 4-bit mask) is a
-    face.  The void complex (0, no faces at all) and the irrelevant
-    complex (1, only the empty face) have different homology, so both
-    are representable.
-    """
-
-    __slots__ = ("face_bits",)
-
-    def __init__(self, face_bits):
-        bits = face_bits
-        # exactly an int (no bool or float), so the faces are bits
-        if type(bits) is not int or not 0 <= bits < 1 << 16:
-            raise InvariantViolation(f"face set {bits!r} is not a 16-bit set")
-        # moving every face that contains vertex i down to the face
-        # without i (bit t to bit t - 2^i) must land on faces again
-        w0, w1, w2, w3 = WITH
-        if ((bits & w0) >> 1 | (bits & w1) >> 2 | (bits & w2) >> 4 | (bits & w3) >> 8) & ~bits:
-            raise InvariantViolation("face set must be downward closed")
-        set_field(self, "face_bits", bits)
-
-
-@lru_cache(maxsize=None)
-def _interned_complex(face_bits):
-    """The one SimplicialComplex for a face set.
-
-    Keyed on the 16-bit set, so it holds at most the 168 complexes on
-    four vertices; each is validated when first built, and a set the
-    constructor rejects raises again on every call, never cached.
-    """
-    return SimplicialComplex(face_bits)
-
-
 def koszul_complex(ideal, b):
     """Faces are the vertex masks t with b - t >= 0 and x^(b-t) in the ideal.
 
     A generator g divides x^(b-t) iff g divides b and g_j < b_j for every
     j in t, so the faces it contributes are the t missing the variables
     where g_j == b_j (b_j == 0 among them, which keeps b - t >= 0).
+    The result is the 16-bit face set: bit t is set iff t is a face.
     Downward closure is automatic: shrinking t raises x^(b-t) to a
     multiple, which stays in the ideal.  The zero ideal gives the void
-    complex.  Equal face sets give the identical, interned complex.
+    complex 0, which differs from the irrelevant complex 1 (the empty
+    face alone).
     """
     b0, b1, b2, b3 = b
     bits = 0
     for g0, g1, g2, g3 in ideal.gens:
         if g0 <= b0 and g1 <= b1 and g2 <= b2 and g3 <= b3:
             bits |= MISSES[(g0 == b0) | (g1 == b1) << 1 | (g2 == b2) << 2 | (g3 == b3) << 3]
-    return _interned_complex(bits)
+    return bits
 
 
 # FACETS[f] holds the facets of the face f (a 4-bit vertex set) with
@@ -146,28 +114,37 @@ _ACYCLIC = (0, 0, 0, 0, 0)
 
 
 @lru_cache(maxsize=None)
-def _homology_profile(face_bits, char):
-    """Reduced homology ranks in dimensions -1..3 for a complex fingerprint.
+def _homology_profile(bits, char):
+    """Reduced homology ranks in dimensions -1..3 of a 16-bit face set.
 
-    Keyed on the 16-bit fingerprint so the at most 168 downward-closed
-    families on four vertices are each eliminated once per field.  The
+    The face set must be a complex: a 16-bit set that is downward
+    closed, or InvariantViolation is raised, and a rejected set is never
+    cached.  Keyed on the face set, so the at most 168 complexes on four
+    vertices are each checked and eliminated once per field.  The
     boundary map from the faces with n vertices has the rows FACETS[f]
     of those faces f; a downward-closed set holds every facet of its
     faces, so the rows need no column selected.
     """
-    counts = [face_bits & 1]
+    if not 0 <= bits < 1 << 16:
+        raise InvariantViolation(f"face set {bits!r} is not a 16-bit set")
+    # moving every face that contains vertex i down to the face without i
+    # (bit t to bit t - 2^i) must land on faces again
+    w0, w1, w2, w3 = WITH
+    if ((bits & w0) >> 1 | (bits & w1) >> 2 | (bits & w2) >> 4 | (bits & w3) >> 8) & ~bits:
+        raise InvariantViolation("face set must be downward closed")
+    counts = [bits & 1]
     # boundary ranks indexed by the domain's vertex count 0..5; the maps
     # off both ends are zero
     ranks = [0]
     for faces in FACES_BY_SIZE[1:]:
-        rows = [FACETS[f] for f in faces if face_bits >> f & 1]
+        rows = [FACETS[f] for f in faces if bits >> f & 1]
         counts.append(len(rows))
         ranks.append(_rank(rows, char))
     ranks.append(0)
     profile = tuple(counts[n] - ranks[n] - ranks[n + 1] for n in range(5))
     # four variables never leave homology at the top dimension
     if profile[4]:
-        raise InternalInconsistency(f"face set {face_bits:#06x} has homology in dimension 3")
+        raise InternalInconsistency(f"face set {bits:#06x} has homology in dimension 3")
     return profile
 
 
@@ -216,7 +193,7 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
         # tuples kept and replaced per ideal, verify's peak RSS grows with
         # run length (28.4 against 25.5 MB after a 30 s bench run), where
         # exact sizes stay flat
-        faces = tuple([koszul_complex(ideal, b).face_bits for b in degrees])
+        faces = tuple([koszul_complex(ideal, b) for b in degrees])
         distinct = tuple(set(faces))
     profiles = [_homology_profile(bits, char) for bits in distinct]
     if hit and last[3] == profiles and last[4] == want_multigraded:

@@ -1,11 +1,10 @@
 """The immutable base of the package's checked value types.
 
 A value type is one whose constructor checks an invariant and raises on
-bad input: MonomialIdeal, SquarefreeIdeal, FieldSpec, SimplicialComplex
-and BettiTable.  Equality between values is type-strict.  A record
-whose fields need no check (Shape, AtlasEntry, TwinBundle) is a
-collections.namedtuple instead, and equals the plain tuple of its
-fields.
+bad input: MonomialIdeal, SquarefreeIdeal, FieldSpec and BettiTable.
+Equality between values is type-strict.  A record whose fields need no
+check (Shape, AtlasEntry, TwinBundle) is a collections.namedtuple
+instead, and equals the plain tuple of its fields.
 
 The value types are plain __slots__ classes rather than dataclasses:
 importing dataclasses pulls in inspect, ast and dis, and decorating a

@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 import betti4
-from betti4.cli import sample_ideal
 from betti4.monomials import MonomialIdeal
 from betti4.parsing import DEFAULT_EXP_CAP
 
@@ -66,6 +65,10 @@ def permutations_of_4():
 
 def model_ideals():
     """Ideals of the random model: at most 8 generators, exponent at most 4."""
+    # imported here, not at the top: the command line loads the engine, and
+    # a module that draws no model ideal must still run if that import fails
+    from betti4.cli import sample_ideal
+
     return st.integers(0, 2**32).map(lambda seed: sample_ideal(random.Random(seed), 8, 4))
 
 

@@ -116,17 +116,18 @@ def multigraded_oracle(ideal, b, field=RATIONALS):
     b in dimensions -1..2; degree 0 is 1 at the constant degree by
     convention and 0 elsewhere.
     """
-    complex_ = koszul_complex(ideal, b)
+    faces = koszul_complex(ideal, b)
     head = 1 if b == UNIT else 0
-    return (head, *(reduced_homology_rank(complex_, dim, field) for dim in range(-1, 3)))
+    return (head, *(reduced_homology_rank(faces, dim, field) for dim in range(-1, 3)))
 
 
-def reduced_homology_rank(complex_, dim, field=RATIONALS):
-    """Dimension of reduced homology of the complex over the field, read
-    from the dense elimination homology_profile."""
+def reduced_homology_rank(face_bits, dim, field=RATIONALS):
+    """Dimension of reduced homology over the field of the complex with
+    the 16-bit face set face_bits, read from the dense elimination
+    homology_profile."""
     if not -1 <= dim <= 3:
         raise ValueError(f"dimension {dim} is outside -1..3")
-    return homology_profile(complex_.face_bits, field.characteristic)[dim + 1]
+    return homology_profile(face_bits, field.characteristic)[dim + 1]
 
 
 def _coprime(gens):

@@ -327,11 +327,11 @@ def test_criterion_14_both_routes_give_the_key_row_at_every_point_configuration(
             keyed = _rows_on_columns(generator_columns(gens), [m]).get(m, zero)
             divisors = gens[:len(family)]
             walked = _coordinate_rows(generator_columns(divisors)).get(m, zero)
-            complex_ = koszul_complex(MonomialIdeal(gens), m)
-            ranks = homology.get(complex_.face_bits)
+            faces = koszul_complex(MonomialIdeal(gens), m)
+            ranks = homology.get(faces)
             if ranks is None:
-                ranks = homology[complex_.face_bits] = {
-                    tuple(reduced_homology_rank(complex_, d, field) for d in range(-1, 3))
+                ranks = homology[faces] = {
+                    tuple(reduced_homology_rank(faces, d, field) for d in range(-1, 3))
                     for field in ALL_FIELDS
                 }
             # beta0 is 1 at m = 1 alone; one row for all four fields

@@ -268,6 +268,17 @@ def test_undecodable_file_exits_2(capsys, tmp_path, command):
     assert "cannot read" in err and "utf-8" in err
 
 
+@pytest.mark.parametrize("command", ["betti", "verify"])
+def test_an_empty_file_name_exits_2_without_reading_stdin(capsys, monkeypatch, command):
+    import io
+    stdin = io.StringIO("x1, x2\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, command, "--file", "")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read '': ")
+    assert stdin.tell() == 0
+
+
 def test_undecodable_stdin_exits_2(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"x1, x2\n\xff\n"), encoding="utf-8"))
@@ -450,7 +461,7 @@ def test_verify_builds_each_koszul_complex_once_across_the_fields(capsys, monkey
     assert built == list(lattice)
     # every field reads the profile of each distinct face set once, and
     # the points read theirs from those, not from the profile cache
-    distinct = {koszul_complex(ideal, b).face_bits for b in lattice}
+    distinct = {koszul_complex(ideal, b) for b in lattice}
     assert len(read) == 4 * len(distinct)
 
 
@@ -459,7 +470,7 @@ def test_a_field_whose_profile_differs_on_one_face_set_gets_rows_of_its_own(caps
     from betti4.multidegrees import enumerate_multidegrees
 
     ideal = parse_ideal(WORKED)
-    skewed_bits = homology.koszul_complex(ideal, enumerate_multidegrees(ideal, 20)[-1]).face_bits
+    skewed_bits = homology.koszul_complex(ideal, enumerate_multidegrees(ideal, 20)[-1])
     homology_profile = homology._homology_profile
 
     def skewed(bits, char):

@@ -10,9 +10,7 @@ from betti4.homology import (
     FACETS,
     RATIONALS,
     FieldSpec,
-    SimplicialComplex,
     _homology_profile,
-    _interned_complex,
     _rank,
     koszul_complex,
     oracle_betti,
@@ -23,7 +21,8 @@ from betti4.tables import BettiTable
 
 
 def complex_of(*faces):
-    return SimplicialComplex(sum(1 << f for f in set(faces)))
+    """The 16-bit face set of the given vertex sets."""
+    return sum(1 << f for f in set(faces))
 
 
 def koszul_by_shifts(ideal, b):
@@ -57,15 +56,17 @@ def test_field_spec_rejects_other_characteristics():
 
 
 def test_downward_closure_enforced():
-    with pytest.raises(InvariantViolation, match="downward closed"):
-        complex_of(0b0011)  # an edge without its vertices
+    for characteristic in (0, 2, 3, 5):
+        with pytest.raises(InvariantViolation, match="downward closed"):
+            _homology_profile(complex_of(0b0011), characteristic)  # an edge without its vertices
 
 
 def test_exactly_the_168_downward_closed_face_sets_are_complexes():
+    # the homology kernel takes a face set only if it is a complex
     accepted = []
     for bits in range(1 << 16):
         try:
-            SimplicialComplex(bits)
+            _homology_profile(bits, 0)
         except InvariantViolation:
             continue
         accepted.append(bits)
@@ -74,7 +75,7 @@ def test_exactly_the_168_downward_closed_face_sets_are_complexes():
     assert all(is_downward_closed({t for t in range(16) if bits >> t & 1}) for bits in accepted)
     for bits in (-1, 1 << 16):
         with pytest.raises(InvariantViolation, match="16-bit"):
-            SimplicialComplex(bits)
+            _homology_profile(bits, 0)
 
 
 def test_homology_of_small_complexes():
@@ -230,22 +231,15 @@ def test_koszul_complex_matches_the_shift_definition_on_staircase_lattices(q, se
         assert koszul_complex(ideal, b) == koszul_by_shifts(ideal, b)
 
 
-def test_koszul_complex_interns_equal_face_sets():
-    two = ideal_of((1, 0, 0, 0), (0, 1, 0, 0))
-    first = koszul_complex(two, (1, 1, 0, 0))
-    # another ideal and degree whose complex is the same two points
-    other = ideal_of((0, 0, 1, 0), (0, 3, 0, 0), (2, 0, 0, 0))
-    assert first == TWO_POINTS
-    assert koszul_complex(other, (2, 3, 0, 0)) is first
-    assert koszul_complex(two, (1, 1, 0, 0)) is first
-
-
 def test_interning_never_caches_a_rejected_face_set():
-    size = _interned_complex.cache_info().currsize
+    # the profile cache keeps one entry per complex and field, and a face
+    # set that is no complex raises again on every call, never cached
+    size = _homology_profile.cache_info().currsize
     for _ in range(2):
-        with pytest.raises(InvariantViolation, match="downward closed"):
-            _interned_complex(1 << 0b0011)  # an edge without its vertices
-    assert _interned_complex.cache_info().currsize == size
+        for bits in (1 << 0b0011, -1, 1 << 16):
+            with pytest.raises(InvariantViolation):
+                _homology_profile(bits, 0)
+    assert _homology_profile.cache_info().currsize == size
 
 
 def oracle_by_points(ideal, field):
@@ -305,7 +299,7 @@ def test_face_set_memo_holds_the_most_recent_ideal_only():
             # the distinct ones are listed once each
             walk, faces, distinct = homology._last[:3]
             assert walk is enumerate_multidegrees(ideal, 20)
-            assert faces == tuple(koszul_complex(ideal, b).face_bits for b in walk)
+            assert faces == tuple(koszul_complex(ideal, b) for b in walk)
             assert sorted(distinct) == sorted(set(faces))
 
 

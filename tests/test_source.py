@@ -171,8 +171,9 @@ def test_each_derived_fact_has_one_owner():
     # ideal's masks are read as they are, with no second minimalization,
     # the twin reduction is build_bundle alone, with no public steps or
     # guards against input that only a hand-built twin could give, an
-    # ideal's generators are minimalized by its constructor alone, and
-    # atlas completeness is checked once, when the atlas loads
+    # ideal's generators are minimalized by its constructor alone, a
+    # Koszul complex is its face set, with no wrapper type or interning
+    # cache, and atlas completeness is checked once, when the atlas loads
     found = []
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -193,7 +194,8 @@ def test_each_derived_fact_has_one_owner():
                          "minimalize_masks", "restrict", "squarefree_twin", "_twin_images",
                          "IllFormedTwin", "RestrictionViolation", "NotInAtlas", "canonicalize",
                          "CanonicalForm", "_PERMS", "_face_sets", "_last_table", "lcm", "divides",
-                         "support_mask", "reduced_homology_rank"):
+                         "support_mask", "reduced_homology_rank", "SimplicialComplex",
+                         "_interned_complex"):
                 found.append(f"{name}:{line}: {ident}")
             elif ident == "projective_dimension" and name != "tables.py":
                 found.append(f"{name}:{line}: {ident} outside tables.py")
@@ -292,17 +294,18 @@ def test_every_mutant_snippet_occurs_exactly_once():
 
 
 def test_invariants_hold_under_python_O():
-    # a fresh interpreter with asserts stripped: every constructor check
-    # must still raise its typed error
+    # a fresh interpreter with asserts stripped: every constructor check,
+    # and the homology kernel's check that a face set is a complex, must
+    # still raise its typed error
     probe = textwrap.dedent("""
         import sys
         from betti4.errors import InvariantViolation
-        from betti4.homology import SimplicialComplex
+        from betti4.homology import _homology_profile
         from betti4.monomials import MonomialIdeal
         from betti4.tables import BettiTable
 
         cases = {
-            "edge without its vertices": lambda: SimplicialComplex(1 << 0b0011),
+            "edge without its vertices": lambda: _homology_profile(1 << 0b0011, 0),
             "six-entry row": lambda: BettiTable((1, 0, 0, 0, 0), {(0, 0, 0, 0): (1, 0, 0, 0, 0, 0)}),
             "negative row entry": lambda: BettiTable(
                 (1, 0, 0, 0, 0), {(0, 0, 0, 0): (1, 1, 0, 0, 0), (1, 0, 0, 0): (0, -1, 0, 0, 0)}),

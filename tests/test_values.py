@@ -7,7 +7,7 @@ import pytest
 
 from betti4.atlas import ENTRIES, AtlasEntry
 from betti4.errors import InvariantViolation
-from betti4.homology import FieldSpec, SimplicialComplex
+from betti4.homology import FieldSpec
 from betti4.monomials import MonomialIdeal
 from betti4.squarefree import SquarefreeIdeal
 from betti4.tables import BettiTable
@@ -18,14 +18,13 @@ KOSZUL = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
 
 # the types whose constructor checks an invariant derive from Value; the
 # rest are namedtuple records
-CHECKED = ("MonomialIdeal", "BettiTable", "SimplicialComplex", "FieldSpec", "SquarefreeIdeal")
+CHECKED = ("MonomialIdeal", "BettiTable", "FieldSpec", "SquarefreeIdeal")
 
 # (build one value, build a different value of the same type); every call
 # builds a new instance
 CASES = {
     "MonomialIdeal": (lambda: MonomialIdeal(KOSZUL), lambda: MonomialIdeal(KOSZUL[:3])),
     "BettiTable": (lambda: BettiTable((1, 2, 1, 0, 0)), lambda: BettiTable((1, 1, 0, 0, 0))),
-    "SimplicialComplex": (lambda: SimplicialComplex(0b111), lambda: SimplicialComplex(1)),
     "FieldSpec": (lambda: FieldSpec(), lambda: FieldSpec(2)),
     "SquarefreeIdeal": (lambda: SquarefreeIdeal((3, 4)), lambda: SquarefreeIdeal((3,))),
     "AtlasEntry": (lambda: AtlasEntry(5, (1, 2, 4, 8), 15, 0, 0), lambda: ENTRIES[6]),
@@ -78,7 +77,7 @@ def test_equality_holds_only_within_one_type():
     # same field names and values, different types
     assert MonomialIdeal(()) != SquarefreeIdeal(())
     assert SquarefreeIdeal(()) != MonomialIdeal(())
-    assert FieldSpec(0) != 0 and SimplicialComplex(0) != 0
+    assert FieldSpec(0) != 0
     assert MonomialIdeal(KOSZUL) != KOSZUL
     # a record, by contrast, equals the plain tuple of its fields
     assert ENTRIES[3] == (3, (1, 2), 3, 1, 0)
@@ -151,6 +150,3 @@ def test_validated_constructors_keep_their_errors():
     for bad in (2.0, 3.0):
         with pytest.raises(ValueError, match="unsupported characteristic"):
             FieldSpec(bad)
-    for bad in (1.0, True):
-        with pytest.raises(InvariantViolation, match="is not a 16-bit set"):
-            SimplicialComplex(bad)
