@@ -30,7 +30,6 @@ _LAZY = {
     "ParseError": "errors",
     "VariableOutOfRange": "errors",
     "ALL_FIELDS": "homology",
-    "FieldSpec": "homology",
     "RATIONALS": "homology",
     "koszul_complex": "homology",
     "oracle_betti": "homology",
@@ -42,7 +41,6 @@ _LAZY = {
     "enumerate_multidegrees": "multidegrees",
     "DEFAULT_EXP_CAP": "parsing",
     "parse_ideal": "parsing",
-    "SquarefreeIdeal": "squarefree",
     "mask_monomial": "squarefree",
     "mask_string": "squarefree",
     "parse_mask": "squarefree",

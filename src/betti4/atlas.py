@@ -10,7 +10,7 @@ from collections import namedtuple
 from itertools import permutations
 
 from .errors import InternalInconsistency
-from .squarefree import SquarefreeIdeal, mask_string, parse_mask, permute_mask
+from .squarefree import mask_string, parse_mask, permute_mask, support
 
 # (id, generators, degree, beta2, beta3).  Generators appear in their
 # traditional listing order; they are sorted as masks when parsed.
@@ -100,9 +100,12 @@ def _load():
     for cid, gen_strings, y_string, b2, b3 in _TABLE:
         gens = tuple(sorted(parse_mask(s) for s in gen_strings))
         entry = AtlasEntry(cid, gens, parse_mask(y_string), b2, b3)
-        # the table only carries minimal generating sets, and the row
-        # degree is always the lcm of the generators
-        if SquarefreeIdeal(gens).support != entry.y_m:
+        # the table only carries minimal generating sets: in ascending
+        # order a mask can only lie inside a later one, or equal it
+        if any(a & b == a for i, a in enumerate(gens) for b in gens[i + 1:]):
+            raise InternalInconsistency(f"entry {cid}: generators are not an antichain")
+        # the row degree is always the lcm of the generators
+        if support(gens) != entry.y_m:
             raise InternalInconsistency(f"entry {cid}: degree is not lcm of generators")
         if cid in entries:
             raise InternalInconsistency(f"entry {cid} is listed twice")
@@ -135,15 +138,16 @@ def atlas_entries():
     return tuple(ENTRIES[i] for i in range(1, 67))
 
 
-def lookup_multigraded(ideal, y_m):
-    """Tabulated (beta2, beta3) of a squarefree ideal at the degree y_m.
+def lookup_multigraded(gens, y_m):
+    """Tabulated (beta2, beta3) of a squarefree ideal, given as its sorted
+    mask tuple, at the degree y_m.
 
     Zero whenever the lcm of the generators misses y_m; the zero ideal
     (which has no class) also reports zero.
     """
-    if ideal.is_zero or ideal.support != y_m:
+    if not gens or support(gens) != y_m:
         return (0, 0)
-    entry = ENTRIES[LABELED_CLASSES[ideal.gens]]
+    entry = ENTRIES[LABELED_CLASSES[gens]]
     return (entry.beta2, entry.beta3)
 
 

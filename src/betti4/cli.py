@@ -128,8 +128,8 @@ def cmd_verify(args):
         try:
             ideal = parse_ideal(line, args.max_exp)
             formula = full_table(ideal, want_multigraded=True, cap=args.max_gens)
-            oracles = [oracle_betti(ideal, field, args.max_gens, want_multigraded=True)
-                       for field in ALL_FIELDS]
+            oracles = [oracle_betti(ideal, char, args.max_gens, want_multigraded=True)
+                       for char in ALL_FIELDS]
         except Betti4Error as exc:
             bad_input = True
             print(f"error (line {number}): {exc}", file=sys.stderr)
@@ -142,15 +142,15 @@ def cmd_verify(args):
             if oracle is not previous:
                 ok, previous = oracle.multigraded == formula.multigraded, oracle
             agree.append(ok)
-        tag = " ".join(f"char{field.characteristic}={'ok' if ok else 'FAIL'}"
-                       for field, ok in zip(ALL_FIELDS, agree))
+        tag = " ".join(f"char{char}={'ok' if ok else 'FAIL'}"
+                       for char, ok in zip(ALL_FIELDS, agree))
         print(f"line {number}: {tag}  betti={list(formula.betti)}  [{format_ideal(ideal)}]")
         zero = (0,) * 5
-        for field, oracle, ok in zip(ALL_FIELDS, oracles, agree):
+        for char, oracle, ok in zip(ALL_FIELDS, oracles, agree):
             if ok:
                 continue
             failed = True
-            print(f"  mismatch at characteristic {field.characteristic}")
+            print(f"  mismatch at characteristic {char}")
             for m in sorted(set(formula.multigraded) | set(oracle.multigraded)):
                 want = oracle.multigraded.get(m, zero)
                 got = formula.multigraded.get(m, zero)
@@ -170,13 +170,13 @@ def cmd_atlas(args):
         for entry in atlas_entries():
             ideal = MonomialIdeal(mask_monomial(g) for g in entry.gens)
             y = mask_monomial(entry.y_m)
-            for field in ALL_FIELDS:
-                rows = oracle_betti(ideal, field, want_multigraded=True).multigraded
+            for char in ALL_FIELDS:
+                rows = oracle_betti(ideal, char, want_multigraded=True).multigraded
                 row = rows.get(y, (0,) * 5)
                 if (row[2], row[3]) != (entry.beta2, entry.beta3):
                     print(
                         f"entry {entry.id}: stored ({entry.beta2}, {entry.beta3}) but oracle "
-                        f"gives ({row[2]}, {row[3]}) at characteristic {field.characteristic}"
+                        f"gives ({row[2]}, {row[3]}) at characteristic {char}"
                     )
                     return 1
         print("all 66 entries agree with the oracle over every supported field")

@@ -17,7 +17,7 @@ from .atlas import LABELED_CLASSES, lookup_multigraded
 from .errors import InternalInconsistency
 from .monomials import UNIT
 from .multidegrees import DEFAULT_GEN_CAP, check_cap, enumerate_multidegrees, generator_columns
-from .squarefree import SquarefreeIdeal, mask_string, shape_descriptor
+from .squarefree import mask_string, shape_descriptor, support
 from .tables import BettiTable
 
 
@@ -100,13 +100,14 @@ def dominant_quadruples(ideal, columns=None):
     return tuple(sorted(lcms))
 
 
-def _shape_weights(sq):
-    """(beta2, beta3) weight of one multidegree's squarefree reduction.
+def _shape_weights(gens):
+    """(beta2, beta3) weight of one multidegree's squarefree reduction,
+    given as its sorted mask tuple.
 
     The caller has already checked that the reduction's lcm fills the
     whole support of the multidegree; shapes not listed weigh nothing.
     """
-    count, degrees, p = shape_descriptor(sq)
+    count, degrees, p = shape_descriptor(gens)
     b2 = b3 = 0
     if count == 2:
         b2 = 1
@@ -168,17 +169,16 @@ def _build_key_table(classes):
     """
     table = {0: (0, (1, 0, 0, 0, 0))}
     for gens, cid in classes.items():
-        sq = SquarefreeIdeal(gens)
-        weights = _shape_weights(sq)
-        tabulated = lookup_multigraded(sq, sq.support)
+        weights = _shape_weights(gens)
+        y_m = support(gens)
+        tabulated = lookup_multigraded(gens, y_m)
         if weights != tabulated:
             raise InternalInconsistency(
                 f"shape weights give {weights} but atlas class {cid} gives "
                 f"{tabulated} for {[mask_string(g) for g in gens]}"
             )
         up = upward_closure(gens)
-        table[up] = (sq.support, (int(not sq.support), int(len(gens) == 1), *weights,
-                                  int(up == HOLLOW)))
+        table[up] = (y_m, (int(not y_m), int(len(gens) == 1), *weights, int(up == HOLLOW)))
     if len(table) != 168:
         raise InternalInconsistency(f"{len(table)} upward-closed families tabulated, expected 168")
     return table
@@ -188,7 +188,7 @@ KEY_TABLE = _build_key_table(LABELED_CLASSES)
 
 # The nonzero rows of KEY_TABLE keyed on up | support << 16, so that one
 # lookup also checks that the family's support fills the support of m.
-NONZERO_ROWS = {up | support << 16: row for up, (support, row) in KEY_TABLE.items() if any(row)}
+NONZERO_ROWS = {up | y_m << 16: row for up, (y_m, row) in KEY_TABLE.items() if any(row)}
 
 
 def _rows_on_columns(columns, degrees):

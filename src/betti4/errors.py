@@ -22,10 +22,11 @@ class InternalInconsistency(Betti4Error):
 
 
 class InvariantViolation(Betti4Error):
-    """A value object was built from data that breaks its invariant.
+    """A value was built from data that breaks its invariant.
 
-    Raised by the constructors of ideals, complexes and Betti tables, so
-    the check also holds when Python runs with -O.
+    Raised by the constructors of monomial ideals and Betti tables, and
+    by the homology kernel for a face set that is not a complex, so the
+    check also holds when Python runs with -O.
     """
 
 

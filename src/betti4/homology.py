@@ -16,30 +16,13 @@ from functools import lru_cache
 from .errors import InternalInconsistency, InvariantViolation
 from .multidegrees import DEFAULT_GEN_CAP, enumerate_multidegrees
 from .tables import BettiTable
-from .values import Value, set_field
 
-SUPPORTED_CHARACTERISTICS = (0, 2, 3, 5)
-
-
-class FieldSpec(Value):
-    """Base field: the rationals (characteristic 0) or F_p for small p.
-
-    Four vertices admit no torsion (the smallest case, RP^2, needs
-    six), so homology on them is the same over every field; the primes
-    2, 3 and 5 witness that.
-    """
-
-    __slots__ = ("characteristic",)
-
-    def __init__(self, characteristic=0):
-        # exactly an int: 2.0 and True compare equal to supported ones
-        if type(characteristic) is not int or characteristic not in SUPPORTED_CHARACTERISTICS:
-            raise ValueError(f"unsupported characteristic {characteristic}")
-        set_field(self, "characteristic", characteristic)
-
-
-RATIONALS = FieldSpec(0)
-ALL_FIELDS = tuple(FieldSpec(c) for c in SUPPORTED_CHARACTERISTICS)
+# The characteristics of the base fields: the rationals and F_p for
+# small p.  Four vertices admit no torsion (the smallest case, RP^2,
+# needs six), so homology on them is the same over every field; the
+# primes 2, 3 and 5 witness that.
+RATIONALS = 0
+ALL_FIELDS = (RATIONALS, 2, 3, 5)
 
 
 # WITH[i] is the 16-bit set of vertex sets that contain vertex i, and
@@ -153,7 +136,7 @@ def _homology_profile(bits, char):
 _last = None
 
 
-def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=False):
+def oracle_betti(ideal, char=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=False):
     """Betti table of S/ideal by summing Koszul homology over the multidegrees.
 
     The multidegrees are those enumerate_multidegrees returns: the unit
@@ -166,20 +149,25 @@ def oracle_betti(ideal, field=RATIONALS, cap=DEFAULT_GEN_CAP, want_multigraded=F
     The zero and unit ideals need no branch: their only point is the
     unit, whose complex gives (1,0,0,0,0) and (1,1,0,0,0).
 
-    Only the homology depends on the field.  The lattice walk checks
-    the cap on every call, as the formula route does, and is memoized
-    for the most recent ideal; the Koszul face sets, their profiles and
-    the table are memoized for the most recent walk, one entry in all,
-    so calling this once per field builds the face sets once; an
-    exception is never cached.  A call reads, in its own field, the
-    profile of each distinct face set of the walk.  If every one equals
-    the profile the previous call read on the same walk, the rows are
-    equal point by point, so it returns the previous call's table, which
-    its callers share and must not change.  A field whose profile
-    differs on any face set gets rows of its own.
+    char is the characteristic of the field, one of ALL_FIELDS, or
+    ValueError is raised before anything else runs.  Only the homology
+    depends on the field.  The lattice walk checks the cap on every
+    call, as the formula route does, and is memoized for the most recent
+    ideal; the Koszul face sets, their profiles and the table are
+    memoized for the most recent walk, one entry in all, so calling this
+    once per field builds the face sets once; an exception is never
+    cached.  A call reads, in its own field, the profile of each
+    distinct face set of the walk.  If every one equals the profile the
+    previous call read on the same walk, the rows are equal point by
+    point, so it returns the previous call's table, which its callers
+    share and must not change.  A field whose profile differs on any
+    face set gets rows of its own.
     """
     global _last
-    char = field.characteristic
+    # exactly an int: 2.0 and True equal supported or cached
+    # characteristics, so the profile cache would answer them as 2 and 1
+    if type(char) is not int or char not in ALL_FIELDS:
+        raise ValueError(f"unsupported characteristic {char!r}")
     degrees = enumerate_multidegrees(ideal, cap)
     last = _last
     # the memo holds its walk, so no other walk can take its identity, and

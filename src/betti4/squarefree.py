@@ -1,44 +1,20 @@
 """Squarefree ideals in up to four variables, generators as 4-bit masks.
 
 Bit i of a mask stands for the variable y_{i+1}; divisibility of
-squarefree monomials is mask inclusion.  Bit-strings elsewhere in the
+squarefree monomials is mask inclusion.  An ideal is the ascending
+tuple of its minimal generators' masks.  Bit-strings elsewhere in the
 package render masks with y1 leftmost.
 """
 
 from collections import namedtuple
 
-from .errors import InvariantViolation
-from .values import Value, set_field
 
-
-class SquarefreeIdeal(Value):
-    """Squarefree monomial ideal with a minimal, ascending-sorted mask tuple."""
-
-    __slots__ = ("gens",)
-
-    def __init__(self, gens):
-        for m in gens:
-            # masks are exactly ints (no bool or float), so they sort and meet as bit sets
-            if type(m) is not int or not 0 <= m < 16:
-                raise InvariantViolation(f"bad mask {m!r}")
-        if list(gens) != sorted(set(gens)):
-            raise InvariantViolation("masks must be ascending and distinct")
-        for m in gens:
-            if any(o != m and o & m == o for o in gens):
-                raise InvariantViolation("generating set must be minimal")
-        set_field(self, "gens", gens)
-
-    @property
-    def support(self):
-        """Union of the generator supports; equals lcm of the generators."""
-        out = 0
-        for m in self.gens:
-            out |= m
-        return out
-
-    @property
-    def is_zero(self):
-        return not self.gens
+def support(gens):
+    """Union of the masks: the lcm of the squarefree monomials they stand for."""
+    out = 0
+    for m in gens:
+        out |= m
+    return out
 
 
 def mask_monomial(mask):
@@ -89,9 +65,8 @@ def dominant_mask_members(gens):
     return tuple(out)
 
 
-def shape_descriptor(ideal):
-    """(generator count, degree multiset, semidominance)."""
-    gens = ideal.gens
+def shape_descriptor(gens):
+    """(generator count, degree multiset, semidominance) of a sorted mask tuple."""
     count = len(gens)
     degrees = tuple(sorted(m.bit_count() for m in gens))
     p = count - len(dominant_mask_members(gens))

@@ -12,7 +12,6 @@ image at the support of m.
 from collections import namedtuple
 
 from .monomials import MonomialIdeal
-from .squarefree import SquarefreeIdeal
 
 
 TwinBundle = namedtuple("TwinBundle", ("m", "restriction", "twin_images", "twin", "squarefree",
@@ -41,10 +40,11 @@ def build_bundle(ideal, m):
     generate, so MonomialIdeal keeps the minimal ones.  Every twin
     exponent is m's or 0 by construction, so divisibility among the
     images is inclusion of their masks: the twin's minimal generators
-    read as distinct, minimal masks, which SquarefreeIdeal checks.
+    read as distinct, minimal masks, and squarefree is their sorted
+    tuple.
     """
     restriction = MonomialIdeal(g for g in ideal.gens if _divides(g, m))
     images = tuple(tuple(a if b == a else 0 for a, b in zip(m, g)) for g in restriction.gens)
     twin = MonomialIdeal(images)
-    squarefree = SquarefreeIdeal(tuple(sorted(_support_mask(g) for g in twin.gens)))
+    squarefree = tuple(sorted(_support_mask(g) for g in twin.gens))
     return TwinBundle(m, restriction, images, twin, squarefree, _support_mask(m))

@@ -1,10 +1,12 @@
 """The immutable base of the package's checked value types.
 
 A value type is one whose constructor checks an invariant and raises on
-bad input: MonomialIdeal, SquarefreeIdeal, FieldSpec and BettiTable.
-Equality between values is type-strict.  A record whose fields need no
-check (Shape, AtlasEntry, TwinBundle) is a collections.namedtuple
-instead, and equals the plain tuple of its fields.
+bad input: MonomialIdeal and BettiTable.  Equality between values is
+type-strict.  A record whose fields need no check (Shape, AtlasEntry,
+TwinBundle) is a collections.namedtuple instead, and equals the plain
+tuple of its fields.  A single plain value is not wrapped at all: a
+characteristic is an int that oracle_betti checks, and a squarefree
+ideal is the sorted tuple of its masks, checked where the atlas loads.
 
 The value types are plain __slots__ classes rather than dataclasses:
 importing dataclasses pulls in inspect, ast and dis, and decorating a

@@ -225,7 +225,14 @@ MUTANTS = {
         "atlas.py",
         '"beta2", "beta3"))',
         '"beta3", "beta2"))',
-        ("tests/test_atlas.py::test_row_goldens",),
+        ("tests/test_source.py::test_a_fresh_atlas_load_gives_the_row_goldens",),
+    ),
+    "atlas: antichain check dropped": (
+        "atlas.py",
+        "        if any(a & b == a for i, a in enumerate(gens) for b in gens[i + 1:]):\n"
+        '            raise InternalInconsistency(f"entry {cid}: generators are not an antichain")\n',
+        "",
+        ("tests/test_atlas.py::test_loader_rejects_a_corrupted_table",),
     ),
     "atlas: completeness check dropped": (
         "atlas.py",
@@ -320,6 +327,14 @@ MUTANTS = {
         '        raise InvariantViolation(f"face set {bits!r} is not a 16-bit set")\n',
         "",
         (COMPLEXES,),
+    ),
+    "homology: characteristic check dropped": (
+        "homology.py",
+        "    if type(char) is not int or char not in ALL_FIELDS:\n"
+        '        raise ValueError(f"unsupported characteristic {char!r}")\n',
+        "",
+        ("tests/test_homology.py::test_oracle_refuses_unsupported_characteristics",
+         "tests/test_source.py::test_invariants_hold_under_python_O"),
     ),
     "homology: unit row with beta0 = 0": (
         "homology.py",

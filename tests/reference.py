@@ -109,7 +109,7 @@ def permute_ideal(ideal, perm):
     return MonomialIdeal(permute_monomial(g, perm) for g in ideal.gens)
 
 
-def multigraded_oracle(ideal, b, field=RATIONALS):
+def multigraded_oracle(ideal, b, char=RATIONALS):
     """Graded Betti numbers (degrees 0..4) of S/ideal at one degree b.
 
     Degrees 1..4 are the reduced homology ranks of the Koszul complex at
@@ -118,16 +118,16 @@ def multigraded_oracle(ideal, b, field=RATIONALS):
     """
     faces = koszul_complex(ideal, b)
     head = 1 if b == UNIT else 0
-    return (head, *(reduced_homology_rank(faces, dim, field) for dim in range(-1, 3)))
+    return (head, *(reduced_homology_rank(faces, dim, char) for dim in range(-1, 3)))
 
 
-def reduced_homology_rank(face_bits, dim, field=RATIONALS):
+def reduced_homology_rank(face_bits, dim, char=RATIONALS):
     """Dimension of reduced homology over the field of the complex with
     the 16-bit face set face_bits, read from the dense elimination
     homology_profile."""
     if not -1 <= dim <= 3:
         raise ValueError(f"dimension {dim} is outside -1..3")
-    return homology_profile(face_bits, field.characteristic)[dim + 1]
+    return homology_profile(face_bits, char)[dim + 1]
 
 
 def _coprime(gens):

@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 from betti4 import atlas
 from betti4.atlas import LABELED_CLASSES, atlas_entries, atlas_records, lookup_multigraded
 from betti4.errors import InternalInconsistency
-from betti4.squarefree import SquarefreeIdeal, parse_mask, permute_mask
+from betti4.squarefree import parse_mask, permute_mask, support
 
 
 def sq(*bit_strings):
-    return SquarefreeIdeal(tuple(sorted(parse_mask(s) for s in bit_strings)))
+    """The sorted mask tuple of the given bit-strings."""
+    return tuple(sorted(parse_mask(s) for s in bit_strings))
 
 
 def entry(class_id):
@@ -36,13 +37,12 @@ def test_index_maps_every_squarefree_ideal_to_its_class_id():
         smallest.setdefault(least_form(e.gens), e.id)
     assert len(LABELED_CLASSES) == 167
     for gens, cid in LABELED_CLASSES.items():
-        ideal = SquarefreeIdeal(gens)
         assert isinstance(cid, int)
         assert cid == smallest[least_form(gens)]
         mate = entry(cid)
-        assert lookup_multigraded(ideal, ideal.support) == (mate.beta2, mate.beta3)
-        if ideal.support != 0b1111:
-            assert lookup_multigraded(ideal, 0b1111) == (0, 0)
+        assert lookup_multigraded(gens, support(gens)) == (mate.beta2, mate.beta3)
+        if support(gens) != 0b1111:
+            assert lookup_multigraded(gens, 0b1111) == (0, 0)
 
 
 def test_loader_rejects_a_corrupted_table(monkeypatch):
@@ -51,6 +51,11 @@ def test_loader_rejects_a_corrupted_table(monkeypatch):
     assert (ninth[0], last[0]) == (9, 66)
     corruptions = {
         "degree is not lcm": ((1, first[1], "1000", 0, 0),) + table[1:],
+        # a mask inside another, and a mask listed twice
+        "entry 3: generators are not an antichain":
+            table[:2] + ((3, ("1000", "1100"), "1100", 1, 0),) + table[3:],
+        "entry 2: generators are not an antichain":
+            table[:1] + ((2, ("1000", "1000"), "1000", 0, 0),) + table[2:],
         "listed twice": table + (last,),
         "65 atlas entries": table[:-1],
         # classes 7 and 9 are relabelings of one another
@@ -71,8 +76,7 @@ def test_table_shape():
     assert len(entries) == 66
     assert [e.id for e in entries] == list(range(1, 67))
     for e in entries:
-        ideal = SquarefreeIdeal(e.gens)
-        assert ideal.support == e.y_m
+        assert support(e.gens) == e.y_m
         assert e.beta2 >= 0 and e.beta3 >= 0
 
 
@@ -95,12 +99,12 @@ def test_listed_entries_canonicalize_to_orbit_minimum():
 
 
 def test_canonical_spot_checks():
-    assert LABELED_CLASSES[sq("0101", "0011").gens] == 7
-    assert LABELED_CLASSES[sq("1100", "1010", "0011").gens] == 16
-    assert LABELED_CLASSES[sq("1110", "0111").gens] == 48
-    assert LABELED_CLASSES[sq("1110", "1101", "1011", "0111").gens] == 64
+    assert LABELED_CLASSES[sq("0101", "0011")] == 7
+    assert LABELED_CLASSES[sq("1100", "1010", "0011")] == 16
+    assert LABELED_CLASSES[sq("1110", "0111")] == 48
+    assert LABELED_CLASSES[sq("1110", "1101", "1011", "0111")] == 64
     assert LABELED_CLASSES[(0,)] == 1
-    assert LABELED_CLASSES[sq("1111").gens] == 66
+    assert LABELED_CLASSES[sq("1111")] == 66
     # the zero ideal has no class
     assert () not in LABELED_CLASSES
 
@@ -113,11 +117,11 @@ def test_canonicalize_is_permutation_invariant(e, perm):
 
 def test_lookup_guard():
     ideal = sq("0101", "0011")
-    assert lookup_multigraded(ideal, ideal.support) == (1, 0)
+    assert lookup_multigraded(ideal, support(ideal)) == (1, 0)
     # support mismatch means the multidegree contributes nothing
     assert lookup_multigraded(ideal, 0b1111) == (0, 0)
-    assert lookup_multigraded(SquarefreeIdeal(()), 0) == (0, 0)
-    assert lookup_multigraded(SquarefreeIdeal((0,)), 0) == (0, 0)
+    assert lookup_multigraded((), 0) == (0, 0)
+    assert lookup_multigraded((0,), 0) == (0, 0)
 
 
 def test_records_export():

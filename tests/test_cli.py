@@ -479,8 +479,7 @@ def test_a_field_whose_profile_differs_on_one_face_set_gets_rows_of_its_own(caps
         return (h[0], h[1] + 1, *h[2:]) if bits == skewed_bits and char == 2 else h
 
     monkeypatch.setattr(homology, "_homology_profile", skewed)
-    rational, binary = (homology.oracle_betti(ideal, homology.FieldSpec(c), want_multigraded=True)
-                        for c in (0, 2))
+    rational, binary = (homology.oracle_betti(ideal, char, want_multigraded=True) for char in (0, 2))
     assert binary.multigraded != rational.multigraded
     code, out, _ = run(capsys, "verify", WORKED)
     assert code == 1

@@ -276,7 +276,7 @@ def _reference_row(ideal, m):
     """The key-table row of the squarefree twin that the reduction
     pipeline builds at m, or zero if its support is not that of m."""
     bundle = build_bundle(ideal, m)
-    support, row = KEY_TABLE[upward_closure(bundle.squarefree.gens)]
+    support, row = KEY_TABLE[upward_closure(bundle.squarefree)]
     return row if support == bundle.y_m else (0,) * 5
 
 
@@ -362,10 +362,10 @@ def test_saturated_lattice_points_have_zero_rows(ideal):
     for m in degrees:
         if not _saturated(ideal, m):
             continue
-        assert upward_closure(build_bundle(ideal, m).squarefree.gens) == UP[0]
+        assert upward_closure(build_bundle(ideal, m).squarefree) == UP[0]
         assert m not in nonzero and m not in walked
-        for field in ALL_FIELDS:
-            assert multigraded_oracle(ideal, m, field)[1:] == (0, 0, 0, 0)
+        for char in ALL_FIELDS:
+            assert multigraded_oracle(ideal, m, char)[1:] == (0, 0, 0, 0)
 
 
 def test_most_staircase_lattice_points_are_saturated():

@@ -9,7 +9,6 @@ from betti4.homology import (
     ALL_FIELDS,
     FACETS,
     RATIONALS,
-    FieldSpec,
     _homology_profile,
     _rank,
     koszul_complex,
@@ -47,12 +46,23 @@ SOLID_TRIANGLE = complex_of(0, 0b0001, 0b0010, 0b0100, 0b0011, 0b0101, 0b0110, 0
 HOLLOW_TETRAHEDRON = complex_of(*(m for m in range(15)))
 
 
-def test_field_spec_rejects_other_characteristics():
-    FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(5)
-    with pytest.raises(ValueError):
-        FieldSpec(4)
-    with pytest.raises(ValueError):
-        FieldSpec(7)
+def test_oracle_refuses_unsupported_characteristics():
+    # refused on a cold call and right after a warm call on the same
+    # ideal, where the memo would otherwise answer: the profile cache
+    # would take 2.0 and True as 2 and 1, and the kernel None as the
+    # rationals; refused before the walk, so even over the cap
+    ideal = ideal_of((2, 1, 0, 0), (0, 2, 1, 0), (1, 0, 0, 1))
+    other = ideal_of((1, 0, 0, 0), (0, 1, 0, 0))
+    for bad in (1, 4, 7, 2.0, True, None):
+        with pytest.raises(ValueError, match="unsupported characteristic"):
+            oracle_betti(staircase(21, 0), bad)
+        oracle_betti(other)
+        with pytest.raises(ValueError, match="unsupported characteristic"):
+            oracle_betti(ideal, bad)
+        for char in ALL_FIELDS:
+            oracle_betti(ideal, char)
+            with pytest.raises(ValueError, match=f"unsupported characteristic {bad!r}"):
+                oracle_betti(ideal, bad)
 
 
 def test_downward_closure_enforced():
@@ -91,9 +101,9 @@ def test_homology_of_small_complexes():
 
 def test_homology_is_field_independent_on_four_vertices():
     for cx in (VOID, IRRELEVANT, TWO_POINTS, HOLLOW_TRIANGLE, HOLLOW_TETRAHEDRON):
-        for field in ALL_FIELDS:
+        for char in ALL_FIELDS:
             for d in range(-1, 4):
-                assert reduced_homology_rank(cx, d, field) == reduced_homology_rank(cx, d)
+                assert reduced_homology_rank(cx, d, char) == reduced_homology_rank(cx, d)
 
 
 def _cleared(a, i, j):
@@ -242,14 +252,14 @@ def test_interning_never_caches_a_rejected_face_set():
     assert _homology_profile.cache_info().currsize == size
 
 
-def oracle_by_points(ideal, field):
+def oracle_by_points(ideal, char):
     """Reference: the table summed from multigraded_oracle at every point
     of the lcm lattice, cones included (the zero ideal's lattice is the
     unit alone)."""
     totals = [0] * 5
     rows = {}
     for b in lcm_lattice(ideal):
-        row = multigraded_oracle(ideal, b, field)
+        row = multigraded_oracle(ideal, b, char)
         for i, value in enumerate(row):
             totals[i] += value
         if any(row):
@@ -263,10 +273,10 @@ def oracle_by_points(ideal, field):
     model_or_staircase(),
 ))
 def test_oracle_pass_matches_the_per_point_definition(ideal):
-    for field in ALL_FIELDS:
-        reference = oracle_by_points(ideal, field)
-        assert oracle_betti(ideal, field, 40, want_multigraded=True) == reference
-        totals_only = oracle_betti(ideal, field, 40)
+    for char in ALL_FIELDS:
+        reference = oracle_by_points(ideal, char)
+        assert oracle_betti(ideal, char, 40, want_multigraded=True) == reference
+        totals_only = oracle_betti(ideal, char, 40)
         assert totals_only.betti == reference.betti and totals_only.pd == reference.pd
         assert totals_only.multigraded is None
 
@@ -284,16 +294,16 @@ def test_oracle_pass_matches_the_per_point_definition(ideal):
 def test_oracle_memos_follow_any_sequence_of_ideals_and_fields(calls):
     # repeats, alternations and field changes in any order: the memos may
     # only ever answer for the ideal they were asked about
-    for ideal, field in calls:
-        assert oracle_betti(ideal, field, 40, want_multigraded=True) == oracle_by_points(ideal, field)
+    for ideal, char in calls:
+        assert oracle_betti(ideal, char, 40, want_multigraded=True) == oracle_by_points(ideal, char)
 
 
 def test_face_set_memo_holds_the_most_recent_ideal_only():
     first = ideal_of((1, 0, 0, 0), (0, 1, 0, 0))
     second = ideal_of((2, 0, 0, 0), (0, 0, 3, 0), (0, 1, 1, 1))
     for ideal in (first, second, first):
-        for field in ALL_FIELDS:
-            oracle_betti(ideal, field)
+        for char in ALL_FIELDS:
+            oracle_betti(ideal, char)
             # one entry, for the walk of the most recent ideal: each face
             # set is the one koszul_complex builds at the same point, and
             # the distinct ones are listed once each
@@ -308,7 +318,7 @@ def test_the_oracle_memo_never_answers_before_the_cap_check():
     # refused even in a field whose profiles would let it reuse the table
     ideal = staircase(8, 3)
     q = len(ideal.gens)
-    binary = FieldSpec(2)
+    binary = 2
     oracle_betti(ideal, RATIONALS, 20)
     with pytest.raises(GeneratorCapExceeded, match=f"{q} generators exceed the cap of {q - 1}"):
         oracle_betti(ideal, binary, q - 1)
@@ -317,16 +327,16 @@ def test_the_oracle_memo_never_answers_before_the_cap_check():
 
 def test_oracle_on_the_variable_ideal():
     koszul = ideal_of((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    for field in ALL_FIELDS:
-        assert oracle_betti(koszul, field).betti == (1, 4, 6, 4, 1)
+    for char in ALL_FIELDS:
+        assert oracle_betti(koszul, char).betti == (1, 4, 6, 4, 1)
 
 
 def test_oracle_degenerate_conventions():
-    for field in ALL_FIELDS:
-        zero = oracle_betti(MonomialIdeal(()), field, want_multigraded=True)
+    for char in ALL_FIELDS:
+        zero = oracle_betti(MonomialIdeal(()), char, want_multigraded=True)
         assert zero.betti == (1, 0, 0, 0, 0) and zero.pd == 0
         assert zero.multigraded == {UNIT: (1, 0, 0, 0, 0)}
-        unit = oracle_betti(MonomialIdeal((UNIT,)), field, want_multigraded=True)
+        unit = oracle_betti(MonomialIdeal((UNIT,)), char, want_multigraded=True)
         assert unit.betti == (1, 1, 0, 0, 0) and unit.pd == 1
         assert unit.multigraded == {UNIT: (1, 1, 0, 0, 0)}
 
@@ -361,8 +371,8 @@ def test_homology_rank_rejects_dimensions_outside_the_four_vertices():
 
 
 def test_rationals_is_characteristic_zero():
-    assert RATIONALS.characteristic == 0
-    assert tuple(f.characteristic for f in ALL_FIELDS) == (0, 2, 3, 5)
+    assert RATIONALS == 0
+    assert ALL_FIELDS == (0, 2, 3, 5)
 
 
 def test_cli_import_loads_neither_the_oracle_nor_csv():

@@ -129,8 +129,8 @@ def test_alternating_row_sums_are_the_taylor_sums(ideal):
             taylor[m] = taylor.get(m, 0) + (-1) ** k
     taylor = {m: s for m, s in taylor.items() if s}
     assert _alternating_sums(full_table(ideal, want_multigraded=True).multigraded) == taylor
-    for field in ALL_FIELDS:
-        assert _alternating_sums(oracle_betti(ideal, field, want_multigraded=True).multigraded) == taylor
+    for char in ALL_FIELDS:
+        assert _alternating_sums(oracle_betti(ideal, char, want_multigraded=True).multigraded) == taylor
     # the K-polynomial reference counts the same subsets, by another road
     assert k_polynomial(ideal.gens) == taylor
 
@@ -325,9 +325,9 @@ def test_model_ideals_have_their_lcm_lattice_rows(ideal):
     # generators) shows here on any ideal, generic or not; past six
     # generators the order complexes grow too large to eliminate densely
     formula = full_table(ideal, want_multigraded=True).multigraded
-    for field in ALL_FIELDS:
-        oracle = oracle_betti(ideal, field, want_multigraded=True).multigraded
-        assert formula == oracle == lcm_lattice_rows(ideal.gens, field.characteristic), field
+    for char in ALL_FIELDS:
+        oracle = oracle_betti(ideal, char, want_multigraded=True).multigraded
+        assert formula == oracle == lcm_lattice_rows(ideal.gens, char), char
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -173,7 +173,10 @@ def test_each_derived_fact_has_one_owner():
     # guards against input that only a hand-built twin could give, an
     # ideal's generators are minimalized by its constructor alone, a
     # Koszul complex is its face set, with no wrapper type or interning
-    # cache, and atlas completeness is checked once, when the atlas loads
+    # cache, atlas completeness is checked once, when the atlas loads, a
+    # characteristic is a plain int that oracle_betti checks, and a
+    # squarefree ideal is a plain sorted mask tuple, checked where the
+    # atlas loads
     found = []
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -195,7 +198,8 @@ def test_each_derived_fact_has_one_owner():
                          "IllFormedTwin", "RestrictionViolation", "NotInAtlas", "canonicalize",
                          "CanonicalForm", "_PERMS", "_face_sets", "_last_table", "lcm", "divides",
                          "support_mask", "reduced_homology_rank", "SimplicialComplex",
-                         "_interned_complex"):
+                         "_interned_complex", "FieldSpec", "SquarefreeIdeal",
+                         "SUPPORTED_CHARACTERISTICS"):
                 found.append(f"{name}:{line}: {ident}")
             elif ident == "projective_dimension" and name != "tables.py":
                 found.append(f"{name}:{line}: {ident} outside tables.py")
@@ -295,12 +299,12 @@ def test_every_mutant_snippet_occurs_exactly_once():
 
 def test_invariants_hold_under_python_O():
     # a fresh interpreter with asserts stripped: every constructor check,
-    # and the homology kernel's check that a face set is a complex, must
-    # still raise its typed error
+    # the homology kernel's check that a face set is a complex and the
+    # oracle's check of its characteristic must still raise their errors
     probe = textwrap.dedent("""
         import sys
         from betti4.errors import InvariantViolation
-        from betti4.homology import _homology_profile
+        from betti4.homology import _homology_profile, oracle_betti
         from betti4.monomials import MonomialIdeal
         from betti4.tables import BettiTable
 
@@ -326,6 +330,10 @@ def test_invariants_hold_under_python_O():
         except TypeError:
             print("pd argument refused")
         print("pd", BettiTable((1, 2, 1, 0, 0)).pd, BettiTable((1, 4, 6, 4, 1)).pd)
+        try:
+            oracle_betti(MonomialIdeal(((1, 0, 0, 0),)), 4)
+        except ValueError:
+            print("characteristic 4 refused")
     """)
     assert run_fresh_interpreter(probe, "-O").splitlines() == [
         "1",
@@ -336,4 +344,20 @@ def test_invariants_hold_under_python_O():
         "float exponent raised",
         "pd argument refused",
         "pd 2 4",
+        "characteristic 4 refused",
+    ]
+
+
+def test_a_fresh_atlas_load_gives_the_row_goldens():
+    # a fresh interpreter loads the table anew and reads the tabulated
+    # rows of a few classes by field name; this module imports no atlas
+    # code, so a loader that fails still fails here as a test
+    probe = textwrap.dedent("""
+        from betti4 import atlas
+        entries, _ = atlas._load()
+        for cid in (3, 4, 46, 64, 65):
+            print(cid, entries[cid].beta2, entries[cid].beta3)
+    """)
+    assert run_fresh_interpreter(probe).splitlines() == [
+        "3 1 0", "4 0 1", "46 0 3", "64 3 0", "65 1 1",
     ]

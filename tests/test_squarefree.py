@@ -3,15 +3,14 @@ from conftest import permutations_of_4
 from hypothesis import given, strategies as st
 from reference import permute_monomial, support_mask
 
-from betti4.errors import InvariantViolation
 from betti4.squarefree import (
-    SquarefreeIdeal,
     dominant_mask_members,
     mask_monomial,
     mask_string,
     parse_mask,
     permute_mask,
     shape_descriptor,
+    support,
 )
 
 masks = st.integers(min_value=0, max_value=15)
@@ -46,29 +45,24 @@ def test_permute_mask_matches_monomial_permutation(mask, perm):
     )
 
 
-def test_antichain_enforced():
-    with pytest.raises(InvariantViolation, match="minimal"):
-        SquarefreeIdeal((0b0001, 0b0011))
-
-
 def test_support():
-    assert SquarefreeIdeal((0b0011, 0b0101)).support == 0b0111
-    assert SquarefreeIdeal(()).support == 0
-    assert SquarefreeIdeal((0,)).gens == (0,)
+    assert support((0b0011, 0b0101)) == 0b0111
+    assert support(()) == 0
+    assert support((0,)) == 0
 
 
 def test_shape_descriptor():
     # two edges sharing a vertex: both have a private bit
-    shape = shape_descriptor(SquarefreeIdeal((0b0011, 0b0101)))
+    shape = shape_descriptor((0b0011, 0b0101))
     assert shape == (2, (2, 2), 0)
 
     # triangle of edges: no private bits anywhere
-    shape = shape_descriptor(SquarefreeIdeal((0b0011, 0b0101, 0b0110)))
+    shape = shape_descriptor((0b0011, 0b0101, 0b0110))
     assert shape.count == 3
     assert shape.semidominance == 3
 
     # a vertex and the opposite edge both dominate
-    shape = shape_descriptor(SquarefreeIdeal((0b0001, 0b0110)))
+    shape = shape_descriptor((0b0001, 0b0110))
     assert shape.degrees == (1, 2)
     assert shape.semidominance == 0
 
