@@ -232,7 +232,8 @@ MUTANTS = {
         "        if any(a & b == a for i, a in enumerate(gens) for b in gens[i + 1:]):\n"
         '            raise InternalInconsistency(f"entry {cid}: generators are not an antichain")\n',
         "",
-        ("tests/test_atlas.py::test_loader_rejects_a_corrupted_table",),
+        ("tests/test_atlas.py::test_loader_rejects_a_corrupted_table",
+         "tests/test_squarefree.py::test_antichain_enforced"),
     ),
     "atlas: completeness check dropped": (
         "atlas.py",

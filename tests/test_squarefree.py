@@ -3,6 +3,8 @@ from conftest import permutations_of_4
 from hypothesis import given, strategies as st
 from reference import permute_monomial, support_mask
 
+from betti4 import atlas
+from betti4.errors import InternalInconsistency
 from betti4.squarefree import (
     dominant_mask_members,
     mask_monomial,
@@ -43,6 +45,20 @@ def test_permute_mask_matches_monomial_permutation(mask, perm):
     assert permute_mask(mask, perm) == support_mask(
         permute_monomial(mask_monomial(mask), perm)
     )
+
+
+def test_antichain_enforced(monkeypatch):
+    # squarefree generator sets enter the package only through the atlas
+    # table, so its loader holds them to minimality: a mask inside another
+    # (also when listed first), or a mask listed twice
+    table = atlas._TABLE
+    for gens, y in ((("1000", "1100"), "1100"),
+                    (("1100", "0100", "0011"), "1111"),
+                    (("1000", "1000"), "1000")):
+        corrupted = table[:2] + ((3, gens, y, 1, 0),) + table[3:]
+        monkeypatch.setattr(atlas, "_TABLE", corrupted)
+        with pytest.raises(InternalInconsistency, match="entry 3: generators are not an antichain"):
+            atlas._load()
 
 
 def test_support():
